@@ -7,7 +7,7 @@
 //! which [`run`] reports as an `Err` so the gate binary exits nonzero.
 
 use tsc_thermal::race;
-use tsc_thermal::{CgSolver, Heatsink, MgSolver, Preconditioner, Problem, SorSolver};
+use tsc_thermal::{CgSolver, Heatsink, Precision, Preconditioner, Problem, SorSolver};
 use tsc_units::{HeatFlux, Length, ThermalConductivity};
 
 /// Threads forced onto every solve — enough bands to make interleaving
@@ -99,10 +99,11 @@ fn cases() -> Vec<Case> {
             },
         },
         Case {
-            name: "multigrid",
+            name: "cg-mixed",
             solve: |p| {
                 bits(
-                    MgSolver::new()
+                    CgSolver::new()
+                        .with_precision(Precision::Mixed)
                         .with_threads(THREADS)
                         .with_parallel_crossover(0)
                         .solve(p),

@@ -8,7 +8,7 @@ use std::time::Instant;
 use tsc_core::beol::BeolProperties;
 use tsc_core::stack::{build, StackConfig};
 use tsc_designs::gemmini;
-use tsc_thermal::{CgSolver, Heatsink, Precision, Preconditioner, Smoother};
+use tsc_thermal::{CgSolver, Heatsink, Precision, Preconditioner};
 
 #[test]
 #[ignore]
@@ -19,30 +19,16 @@ fn profile_solvers() {
 
     for (name, solver) in [
         (
-            "f64 mg-pcg rb",
+            "f64 mg-pcg",
             CgSolver::new()
                 .with_tolerance(1e-11)
                 .with_preconditioner(Preconditioner::Multigrid),
         ),
         (
-            "f64 mg-pcg cheb",
-            CgSolver::new()
-                .with_tolerance(1e-11)
-                .with_preconditioner(Preconditioner::Multigrid)
-                .with_smoother(Smoother::Chebyshev),
-        ),
-        (
-            "mixed rb",
+            "mixed",
             CgSolver::new()
                 .with_tolerance(1e-11)
                 .with_precision(Precision::Mixed),
-        ),
-        (
-            "mixed cheb",
-            CgSolver::new()
-                .with_tolerance(1e-11)
-                .with_precision(Precision::Mixed)
-                .with_smoother(Smoother::Chebyshev),
         ),
     ] {
         let t = Instant::now();

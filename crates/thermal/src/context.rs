@@ -24,8 +24,8 @@
 //! |                                  | is still an excellent initial guess)    |
 //! | cell count                       | cold start                              |
 //! | solver configuration (tolerance, | warm field dropped: a field converged   |
-//! | preconditioner, precision,       | under looser arithmetic (f32 inner) or  |
-//! | smoother)                        | a looser tolerance must never seed a    |
+//! | preconditioner, precision)       | under looser arithmetic (f32 inner) or  |
+//! |                                  | a looser tolerance must never seed a    |
 //! |                                  | stricter solve                          |
 //! | any failed solve                 | warm field dropped (never seed from a   |
 //! |                                  | possibly-poisoned iterate)              |
@@ -36,7 +36,7 @@
 //! never be silently stale.
 
 use crate::kernels::{HierarchyF32, WorkspaceF32};
-use crate::multigrid::{MgHierarchy, MgWorkspace, Smoother};
+use crate::multigrid::{MgHierarchy, MgWorkspace};
 use crate::problem::Problem;
 use crate::solver::{Assembled, CgSolver, Precision, Preconditioner, Solution, SolveError};
 use tsc_geometry::Dim3;
@@ -261,7 +261,7 @@ pub struct SolveContext {
 
 /// Validity key of the cached warm-start field: the solver
 /// configuration the field was converged under. A field from a looser
-/// tolerance, a different preconditioner/smoother, or the f32-inner
+/// tolerance, a different preconditioner, or the f32-inner
 /// mixed path must never silently seed a solve with stricter (or merely
 /// different) convergence semantics — reusing it across configurations
 /// would make the second solve's iteration count, trajectory, and
@@ -271,7 +271,6 @@ struct WarmKey {
     tol: f64,
     precon: Preconditioner,
     precision: Precision,
-    smoother: Smoother,
 }
 
 impl WarmKey {
@@ -280,7 +279,6 @@ impl WarmKey {
             tol: solver.tolerance(),
             precon: solver.preconditioner(),
             precision: solver.precision(),
-            smoother: solver.smoother(),
         }
     }
 }
@@ -356,19 +354,6 @@ impl SolveContext {
         let warm_key = WarmKey::of(solver);
         let needs_mg = solver.precision() == Precision::Mixed
             || solver.preconditioner() == Preconditioner::Multigrid;
-        // A hierarchy built for a different smoother (no Chebyshev
-        // bounds, or the wrong ones) cannot be reused.
-        if needs_mg
-            && self
-                .hierarchy
-                .as_ref()
-                .is_some_and(|mg| mg.smoother() != solver.smoother())
-        {
-            self.hierarchy = None;
-            self.workspace = None;
-            self.h32 = None;
-            self.ws32 = None;
-        }
         let Self {
             asm,
             hierarchy,
@@ -425,7 +410,12 @@ impl SolveContext {
         };
 
         match result {
-            Ok(solver_stats) => {
+            Ok(mut solver_stats) => {
+                // The cached operator's build time belongs to the solve
+                // that assembled it, not to every solve that reuses it.
+                if reuse {
+                    solver_stats.assembly_seconds = 0.0;
+                }
                 stats.total_iterations += solver_stats.iterations;
                 stats.total_matvecs += solver_stats.matvecs;
                 stats.total_cycles += solver_stats.cycles;
@@ -598,7 +588,7 @@ mod tests {
         // survive *any* solve with a matching cell count, so an
         // f32-converged mixed solve could seed a subsequent strict-f64
         // solve. The warm key now pins tolerance, preconditioner,
-        // precision and smoother.
+        // and precision.
         let p = problem();
         let mut ctx = SolveContext::new();
         let f64_solver = mg_solver();
@@ -657,18 +647,25 @@ mod tests {
     }
 
     #[test]
-    fn smoother_switch_rebuilds_hierarchy() {
-        let p = problem();
+    fn only_the_assembling_solve_reports_assembly_time() {
+        let mut p = problem();
         let mut ctx = SolveContext::new();
-        ctx.solve(&p, &mg_solver()).expect("red-black");
-        ctx.solve(&p, &mg_solver().with_smoother(Smoother::Chebyshev))
-            .expect("chebyshev");
-        let s = ctx.stats();
-        assert_eq!(s.assemblies, 1, "operator itself is smoother-agnostic");
-        assert_eq!(
-            s.hierarchy_builds, 2,
-            "chebyshev needs its own hierarchy (eigenvalue bounds)"
+        for solver in [mg_solver(), mg_solver().with_precision(Precision::Mixed)] {
+            ctx.invalidate();
+            let first = ctx.solve(&p, &solver).expect("first");
+            assert!(first.stats.assembly_seconds > 0.0, "{solver:?}");
+            p.add_power(2, 2, 7, Power::from_watts(0.5));
+            let reused = ctx.solve(&p, &solver).expect("power-only delta");
+            assert_eq!(reused.stats.assembly_seconds, 0.0, "{solver:?}");
+        }
+        p.set_layer_conductivity(
+            3,
+            ThermalConductivity::new(5.0),
+            ThermalConductivity::new(5.0),
         );
+        let reassembled = ctx.solve(&p, &mg_solver()).expect("conductivity delta");
+        assert!(reassembled.stats.assembly_seconds > 0.0);
+        assert_eq!(ctx.stats().operator_reuses, 2);
     }
 
     #[test]

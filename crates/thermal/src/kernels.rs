@@ -25,14 +25,14 @@
 //! `k−1`/`k`/`k+1` neighbour of three consecutive sweeps).
 //!
 //! Determinism: the inner f32 kernels use the same per-slab ordered
-//! reductions and colour-disjoint (or reduction-free Chebyshev) writes
-//! as the f64 path, so the mixed path is also bitwise independent of
-//! the thread count — verified by the race-check harness.
+//! reductions and colour-disjoint writes as the f64 path, so the mixed
+//! path is also bitwise independent of the thread count — verified by
+//! the race-check harness.
 
 use crate::engine::ExecPlan;
 use crate::multigrid::{
     coarsen, coarsen_factors_with, prolong_add, restrict, DenseCholesky, Factors, MgHierarchy,
-    MgWorkspace, Smoother,
+    MgWorkspace, OMEGA, SWEEPS,
 };
 use crate::solver::{
     norm, ordered_sum, slab_dot_wide_parts, Assembled, CgParams, Precision, Preconditioner,
@@ -41,10 +41,11 @@ use crate::solver::{
 use std::time::Instant;
 use tsc_geometry::Dim3;
 
-/// Outer refinement passes before the solve is declared stuck. Each
-/// pass contracts the residual by roughly [`INNER_TOL`], so a healthy
-/// solve needs ~3; the budget only exists to bound pathological cases
-/// (which fall back to f64 long before exhausting it).
+/// Outer refinement passes before the solve gives up with
+/// [`SolveError::NotConverged`]. Each pass contracts the residual by
+/// roughly [`INNER_TOL`], so a healthy solve needs ~3; the budget only
+/// exists to bound pathological cases (which stall and fall back to f64
+/// long before exhausting it).
 const MAX_REFINE: usize = 60;
 
 /// Relative tolerance of the inner f32 correction solve. The *outer*
@@ -265,61 +266,6 @@ impl OpF32 {
             });
         }
     }
-
-    /// f32 Chebyshev smoothing application over `[lo, hi]` — the f32
-    /// twin of `multigrid::cheb_smooth`: three residual/update pass
-    /// pairs, all banded element-wise writes, no reductions.
-    #[allow(clippy::too_many_arguments)] // level-local scratch, not an API
-    pub(crate) fn cheb_smooth(
-        &self,
-        plan: &ExecPlan,
-        lo: f32,
-        hi: f32,
-        b: &[f32],
-        x: &mut [f32],
-        r: &mut [f32],
-        d: &mut [f32],
-    ) {
-        let theta = 0.5 * (hi + lo);
-        let delta = 0.5 * (hi - lo);
-        let sigma = theta / delta;
-        let mut rho = 1.0f32 / sigma;
-        plan.map_mut(r, |range, chunk| {
-            self.matvec_range(x, chunk, range.clone());
-            for (o, bv) in chunk.iter_mut().zip(&b[range]) {
-                *o = bv - *o;
-            }
-        });
-        plan.map2_mut(x, d, |range, xs, ds| {
-            let rr = &r[range.clone()];
-            let inv = &self.inv_diag[range];
-            for (((xv, dv), rv), iv) in xs.iter_mut().zip(ds.iter_mut()).zip(rr).zip(inv) {
-                let v = rv / theta * iv;
-                *dv = v;
-                *xv += v;
-            }
-        });
-        for _ in 1..crate::multigrid::CHEB_DEGREE {
-            let rho_next = 1.0 / (2.0 * sigma - rho);
-            plan.map_mut(r, |range, chunk| {
-                self.matvec_range(x, chunk, range.clone());
-                for (o, bv) in chunk.iter_mut().zip(&b[range]) {
-                    *o = bv - *o;
-                }
-            });
-            let gain = 2.0 * rho_next / delta;
-            plan.map2_mut(x, d, |range, xs, ds| {
-                let rr = &r[range.clone()];
-                let inv = &self.inv_diag[range];
-                for (((xv, dv), rv), iv) in xs.iter_mut().zip(ds.iter_mut()).zip(rr).zip(inv) {
-                    let v = rho_next * rho * *dv + gain * rv * iv;
-                    *dv = v;
-                    *xv += v;
-                }
-            });
-            rho = rho_next;
-        }
-    }
 }
 
 /// Thomas factorization of one level's z-line tridiagonal part: for
@@ -430,10 +376,10 @@ pub(crate) struct WorkspaceF32 {
 
 /// The f32 shadow of an [`MgHierarchy`]: every level's operator
 /// narrowed to [`OpF32`], sharing the f64 hierarchy's coarsening
-/// decisions, execution plans, smoother configuration and (still f64)
-/// coarsest-level Cholesky factor — the direct solve is a negligible
-/// fraction of the cycle, and keeping it in f64 costs nothing while
-/// anchoring the cycle's coarse corrections.
+/// decisions, execution plans and (still f64) coarsest-level Cholesky
+/// factor — the direct solve is a negligible fraction of the cycle, and
+/// keeping it in f64 costs nothing while anchoring the cycle's coarse
+/// corrections.
 #[derive(Debug)]
 pub(crate) struct HierarchyF32 {
     ops: Vec<OpF32>,
@@ -442,21 +388,16 @@ pub(crate) struct HierarchyF32 {
     plans: Vec<ExecPlan>,
     chol: DenseCholesky,
     smoother: SmootherF32,
-    cheb: Vec<(f32, f32)>,
     line: Vec<LineZ>,
-    nu_pre: usize,
-    nu_post: usize,
-    omega: f32,
 }
 
 /// Smoothers of the shadow hierarchy. The aggressive fully-coarsened
 /// chain always smooths with [`LineZ`] (see [`F32_SEMI_THRESHOLD`]);
-/// the point variants exist for the mirror fallback, which reuses the
-/// f64 hierarchy's semicoarsened chain and its configured smoother.
+/// red-black exists for the mirror fallback, which reuses the f64
+/// hierarchy's semicoarsened chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SmootherF32 {
     RedBlack,
-    Chebyshev,
     LineZ,
 }
 
@@ -468,14 +409,14 @@ impl HierarchyF32 {
     /// weaker cycle merely costs inner CG iterations (and a genuinely
     /// stalled pass falls back to f64). The line smoother is what makes
     /// full coarsening affordable on the anisotropic stacks; the
-    /// configured point smoother (red-black / Chebyshev) only governs
-    /// the f64 hierarchy. Coarse-level execution plans are serial:
-    /// those grids are small, and a fixed serial schedule is trivially
-    /// thread-count independent. If the chain's coarsest operator fails
-    /// the Cholesky SPD check (it cannot, mathematically — Galerkin
-    /// aggregation of an SPD operator is SPD — but poisoned
-    /// conductances could), the shadow falls back to mirroring `mg`'s
-    /// already-factored levels and smoother.
+    /// red-black point smoother only governs the f64 hierarchy.
+    /// Coarse-level execution plans are serial: those grids are small,
+    /// and a fixed serial schedule is trivially thread-count
+    /// independent. If the chain's coarsest operator fails the Cholesky
+    /// SPD check (it cannot, mathematically — Galerkin aggregation of an
+    /// SPD operator is SPD — but poisoned conductances could), the
+    /// shadow falls back to mirroring `mg`'s already-factored levels
+    /// with red-black smoothing.
     pub(crate) fn build(fine: &Assembled, mg: &MgHierarchy) -> Self {
         let mut dims = vec![fine.dim()];
         let mut factors: Vec<Factors> = Vec::new();
@@ -508,7 +449,6 @@ impl HierarchyF32 {
                 }
             })
             .collect();
-        let (nu_pre, nu_post) = mg.sweeps();
         let ops: Vec<OpF32> = levels().map(OpF32::from_assembled).collect();
         let line = ops.iter().map(LineZ::factor).collect();
         Self {
@@ -518,11 +458,7 @@ impl HierarchyF32 {
             plans,
             chol,
             smoother: SmootherF32::LineZ,
-            cheb: Vec::new(),
             line,
-            nu_pre,
-            nu_post,
-            omega: mg.relax_omega() as f32,
         }
     }
 
@@ -533,26 +469,14 @@ impl HierarchyF32 {
         let ops = (0..mg.levels())
             .map(|l| OpF32::from_assembled(mg.op(fine, l)))
             .collect();
-        let (nu_pre, nu_post) = mg.sweeps();
         Self {
             ops,
             dims: mg.dims().to_vec(),
             factors: mg.factors().to_vec(),
             plans: mg.plans().to_vec(),
             chol: mg.chol().clone(),
-            smoother: match mg.smoother() {
-                Smoother::RedBlack => SmootherF32::RedBlack,
-                Smoother::Chebyshev => SmootherF32::Chebyshev,
-            },
-            cheb: mg
-                .cheb_intervals()
-                .iter()
-                .map(|&(lo, hi)| (lo as f32, hi as f32))
-                .collect(),
+            smoother: SmootherF32::RedBlack,
             line: Vec::new(),
-            nu_pre,
-            nu_post,
-            omega: mg.relax_omega() as f32,
         }
     }
 
@@ -581,7 +505,8 @@ impl HierarchyF32 {
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // recursion state, not an API
+    /// [`SWEEPS`] smoothing passes at one level; `colours` orders the
+    /// red-black passes and is irrelevant to the line smoother.
     fn smooth(
         &self,
         level: usize,
@@ -589,26 +514,19 @@ impl HierarchyF32 {
         x: &mut [f32],
         r: &mut [f32],
         d: &mut [f32],
-        nu: usize,
         colours: [usize; 2],
     ) {
         let op = &self.ops[level];
         let plan = &self.plans[level];
         match self.smoother {
             SmootherF32::RedBlack => {
-                for _ in 0..nu {
-                    op.rb_sweep(plan, x, b, self.omega, colours);
-                }
-            }
-            SmootherF32::Chebyshev => {
-                let (lo, hi) = self.cheb[level];
-                for _ in 0..nu {
-                    op.cheb_smooth(plan, lo, hi, b, x, r, d);
+                for _ in 0..SWEEPS {
+                    op.rb_sweep(plan, x, b, OMEGA as f32, colours);
                 }
             }
             SmootherF32::LineZ => {
                 let line = &self.line[level];
-                for _ in 0..nu {
+                for _ in 0..SWEEPS {
                     plan.map_mut(r, |range, chunk| {
                         op.matvec_range(x, chunk, range.clone());
                         for (o, bv) in chunk.iter_mut().zip(&b[range]) {
@@ -650,7 +568,7 @@ impl HierarchyF32 {
         }
         let op = &self.ops[level];
         let plan = &self.plans[level];
-        self.smooth(level, b, x, r, d, self.nu_pre, [0, 1]);
+        self.smooth(level, b, x, r, d, [0, 1]);
         plan.map_mut(r, |range, chunk| {
             op.matvec_range(x, chunk, range.clone());
             for (o, bv) in chunk.iter_mut().zip(&b[range]) {
@@ -682,7 +600,7 @@ impl HierarchyF32 {
             cx,
             x,
         );
-        self.smooth(level, b, x, r, d, self.nu_post, [1, 0]);
+        self.smooth(level, b, x, r, d, [1, 0]);
     }
 
     /// Inner f32 MG-PCG on `A·x = b`, starting from `x = 0`, run to
@@ -873,7 +791,7 @@ impl Assembled {
             }
         }
 
-        if stalled || (residual > params.tol && residual.is_finite()) {
+        if stalled {
             // f32 hit its accuracy floor (or an inner solve failed):
             // finish in pure f64 from the current iterate. Robustness is
             // therefore never worse than the f64 path — only the speed

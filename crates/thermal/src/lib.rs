@@ -11,9 +11,14 @@
 //! * Robin (convective) boundaries on the bottom and/or top face modelling
 //!   the attached heatsink (`G = h·A` to ambient); all side walls
 //!   adiabatic, matching the PACT default used in the paper;
-//! * two independent solvers: Jacobi-preconditioned conjugate gradients
-//!   ([`CgSolver`], the workhorse) and red-black successive
-//!   over-relaxation ([`SorSolver`], the cross-check).
+//! * two independent solvers: conjugate gradients ([`CgSolver`], the
+//!   workhorse) and red-black successive over-relaxation ([`SorSolver`],
+//!   the cross-check). `CgSolver` runs in one of three configurations:
+//!   Jacobi-preconditioned, preconditioned by one geometric-multigrid
+//!   V-cycle ([`Preconditioner::Multigrid`]), or f32 multigrid-CG under
+//!   f64 iterative refinement ([`Precision::Mixed`]). [`SolveContext`]
+//!   caches the operator, the hierarchy and a warm-start field across
+//!   repeated solves on one geometry.
 //!
 //! Both solvers share a scoped-thread parallel engine: matrix-free
 //! stencil products and reductions chunk across z-slab bands, with
@@ -84,7 +89,6 @@ pub use builder::{SlabSpec, StackMeshBuilder};
 pub use context::{operator_fingerprint, ContextStats, OperatorSignature, SolveContext};
 pub use field::TemperatureField;
 pub use heatsink::Heatsink;
-pub use multigrid::{MgSolver, Smoother};
 pub use problem::Problem;
 pub use solver::{
     CgSolver, Precision, Preconditioner, Solution, SolveError, SolverStats, SorSolver,

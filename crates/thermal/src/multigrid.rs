@@ -34,14 +34,13 @@
 //! Determinism: smoothing passes have colour-disjoint writes, matvecs
 //! are gather-form over slab bands, transfers and the direct solve are
 //! serial, and all inner products are serial or per-slab ordered sums —
-//! so MG and MG-preconditioned CG results are **bitwise identical for
-//! every thread count**, like the PR-1 solvers.
+//! so MG-preconditioned CG results are **bitwise identical for every
+//! thread count**, like the Jacobi-CG and SOR solvers.
 
 use crate::engine::ExecPlan;
-use crate::problem::Problem;
 use crate::solver::{
-    default_threads, dot, norm, ordered_sum, slab_dot_parts, Assembled, CgParams, Precision,
-    Preconditioner, Solution, SolveError, SolverStats, DEFAULT_PARALLEL_CROSSOVER,
+    dot, norm, ordered_sum, slab_dot_parts, Assembled, CgParams, Precision, Preconditioner,
+    SolveError, SolverStats,
 };
 use std::time::Instant;
 use tsc_geometry::Dim3;
@@ -50,75 +49,34 @@ use tsc_geometry::Dim3;
 /// this fraction of the strongest coarsenable direction's mean.
 const SEMI_THRESHOLD: f64 = 0.25;
 
-/// Polynomial degree of one Chebyshev smoothing application — three
-/// matvecs per application, comparable work to the two colour passes of
-/// a red-black sweep but expressed as branch-free streaming loops.
-pub(crate) const CHEB_DEGREE: usize = 3;
+/// Red-black sweeps per level before the coarse correction (colours
+/// `[0, 1]`) and again after it (colours `[1, 0]`). Equal counts keep
+/// the V-cycle a symmetric operator — a valid CG preconditioner.
+pub(crate) const SWEEPS: usize = 1;
 
-/// Which relaxation the multigrid levels smooth with (selected by
-/// [`crate::CgSolver::with_smoother`] / [`MgSolver::with_smoother`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Smoother {
-    /// Symmetric red-black Gauss-Seidel: colours `[0, 1]` before the
-    /// coarse correction, `[1, 0]` after — the PR-2 default.
-    #[default]
-    RedBlack,
-    /// Fixed-degree Chebyshev polynomial in `D⁻¹A` on the upper quarter
-    /// of its spectrum: matvec + AXPY only, no inner reductions and no
-    /// coloured scatter, so it autovectorizes and has no cross-band
-    /// coupling. `D⁻¹A` is self-adjoint in the `A`-inner product, so
-    /// identical pre/post applications keep the V-cycle a symmetric
-    /// operator — still a valid CG preconditioner.
-    Chebyshev,
-}
+/// Relaxation factor of the smoothing sweeps (1.0 = Gauss-Seidel;
+/// over-relaxation would break the symmetric-preconditioner property
+/// unless mirrored exactly).
+pub(crate) const OMEGA: f64 = 1.0;
 
-impl core::fmt::Display for Smoother {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(match self {
-            Self::RedBlack => "redblack",
-            Self::Chebyshev => "chebyshev",
-        })
-    }
-}
-
-/// Hierarchy construction and cycling knobs.
+/// Hierarchy construction knobs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MgParams {
-    /// Pre-smoothing sweeps per level (colour order `[0, 1]`).
-    pub(crate) nu_pre: usize,
-    /// Post-smoothing sweeps per level (colour order `[1, 0]`).
-    pub(crate) nu_post: usize,
-    /// Relaxation factor for the smoothing sweeps (1.0 = Gauss-Seidel;
-    /// over-relaxation would break the symmetric-preconditioner
-    /// property unless mirrored exactly, so keep it at 1).
-    pub(crate) omega: f64,
     /// Coarsening stops at or below this many cells; the coarsest level
     /// is solved directly (dense Cholesky).
     pub(crate) coarse_max: usize,
     pub(crate) threads: usize,
     pub(crate) crossover: usize,
-    /// Relaxation family for every level's smoothing passes.
-    pub(crate) smoother: Smoother,
 }
 
 impl MgParams {
-    /// Default cycling parameters bound to an execution configuration.
+    /// Default hierarchy parameters bound to an execution configuration.
     pub(crate) fn with_exec(threads: usize, crossover: usize) -> Self {
         Self {
-            nu_pre: 1,
-            nu_post: 1,
-            omega: 1.0,
             coarse_max: 512,
             threads,
             crossover,
-            smoother: Smoother::RedBlack,
         }
-    }
-
-    /// Returns the parameters with a different smoother.
-    pub(crate) fn with_smoother(mut self, smoother: Smoother) -> Self {
-        self.smoother = smoother;
-        self
     }
 }
 
@@ -275,99 +233,6 @@ where
     }
 }
 
-/// Chebyshev interval of `D⁻¹A` for one level: a deterministic power
-/// iteration (serial, f64, all-ones start) estimates the largest
-/// eigenvalue, padded by 10 % and clamped to the Gershgorin bound of 2
-/// (the diagonal is the sum of the incident off-diagonals plus a
-/// non-negative boundary conductance, so every row sum of `D⁻¹A` is at
-/// most 2). The smoother targets the upper three quarters of the
-/// spectrum, `[λ_hi/4, λ_hi]`; the coarse grids handle the rest.
-pub(crate) fn cheb_bounds(op: &Assembled) -> (f64, f64) {
-    let n = op.dim.len();
-    let mut v = vec![1.0; n];
-    let mut av = vec![0.0; n];
-    let mut est = 2.0;
-    for _ in 0..12 {
-        let nv = norm(&v);
-        if !nv.is_finite() || nv <= 0.0 {
-            est = 2.0;
-            break;
-        }
-        for val in v.iter_mut() {
-            *val /= nv;
-        }
-        op.matvec_range(&v, &mut av, 0..n, None);
-        for (a, dv) in av.iter_mut().zip(&op.diag) {
-            *a /= dv;
-        }
-        est = norm(&av);
-        std::mem::swap(&mut v, &mut av);
-    }
-    if !est.is_finite() || est <= 0.0 {
-        est = 2.0;
-    }
-    let hi = (est * 1.1).min(2.0);
-    (hi * 0.25, hi)
-}
-
-/// One Chebyshev smoothing application of degree [`CHEB_DEGREE`] on
-/// `A·x = b` over the interval `[lo, hi]` of `D⁻¹A` — the standard
-/// three-term recurrence in difference form (`d` is the running
-/// direction, `r` the freshly recomputed residual). Every pass is a
-/// banded matvec or element-wise update with **no reductions**, so the
-/// result is bitwise independent of the band schedule and thread count.
-#[allow(clippy::too_many_arguments)] // level-local scratch, not an API
-pub(crate) fn cheb_smooth(
-    op: &Assembled,
-    plan: &ExecPlan,
-    lo: f64,
-    hi: f64,
-    b: &[f64],
-    x: &mut [f64],
-    r: &mut [f64],
-    d: &mut [f64],
-) {
-    let theta = 0.5 * (hi + lo);
-    let delta = 0.5 * (hi - lo);
-    let sigma = theta / delta;
-    let mut rho = 1.0 / sigma;
-    plan.map_mut(r, |range, chunk| {
-        op.matvec_range(x, chunk, range.clone(), None);
-        for (o, bv) in chunk.iter_mut().zip(&b[range]) {
-            *o = bv - *o;
-        }
-    });
-    plan.map2_mut(x, d, |range, xs, ds| {
-        let rr = &r[range.clone()];
-        let dg = &op.diag[range];
-        for (((xv, dv), rv), dgv) in xs.iter_mut().zip(ds.iter_mut()).zip(rr).zip(dg) {
-            let v = rv / (theta * dgv);
-            *dv = v;
-            *xv += v;
-        }
-    });
-    for _ in 1..CHEB_DEGREE {
-        let rho_next = 1.0 / (2.0 * sigma - rho);
-        plan.map_mut(r, |range, chunk| {
-            op.matvec_range(x, chunk, range.clone(), None);
-            for (o, bv) in chunk.iter_mut().zip(&b[range]) {
-                *o = bv - *o;
-            }
-        });
-        let gain = 2.0 * rho_next / delta;
-        plan.map2_mut(x, d, |range, xs, ds| {
-            let rr = &r[range.clone()];
-            let dg = &op.diag[range];
-            for (((xv, dv), rv), dgv) in xs.iter_mut().zip(ds.iter_mut()).zip(rr).zip(dg) {
-                let v = rho_next * rho * *dv + gain * rv / dgv;
-                *dv = v;
-                *xv += v;
-            }
-        });
-        rho = rho_next;
-    }
-}
-
 /// Dense Cholesky factorization of the coarsest-level operator — exact,
 /// dependency-free, and tiny (≤ [`MgParams::coarse_max`] unknowns).
 #[derive(Debug, Clone)]
@@ -451,14 +316,12 @@ impl DenseCholesky {
     }
 }
 
-/// Per-level scratch vectors of one V-cycle (`d` is the Chebyshev
-/// direction buffer, idle under red-black smoothing).
+/// Per-level scratch vectors of one V-cycle.
 #[derive(Debug, Clone)]
 struct LevelBufs {
     x: Vec<f64>,
     b: Vec<f64>,
     r: Vec<f64>,
-    d: Vec<f64>,
 }
 
 /// Reusable scratch space for V-cycles over one [`MgHierarchy`] — kept
@@ -468,8 +331,6 @@ struct LevelBufs {
 pub(crate) struct MgWorkspace {
     /// Finest-level residual buffer.
     r0: Vec<f64>,
-    /// Finest-level Chebyshev direction buffer.
-    d0: Vec<f64>,
     /// Buffers for levels `1..L` (the finest level's `x`/`b` are the
     /// caller's slices).
     tail: Vec<LevelBufs>,
@@ -490,14 +351,6 @@ pub(crate) struct MgHierarchy {
     coarse_ops: Vec<Assembled>,
     plans: Vec<ExecPlan>,
     chol: DenseCholesky,
-    nu_pre: usize,
-    nu_post: usize,
-    omega: f64,
-    smoother: Smoother,
-    /// Per-level Chebyshev interval `(λ_lo, λ_hi)` of `D⁻¹A` (empty when
-    /// the smoother is red-black — the bounds are only computed when
-    /// they are needed).
-    cheb: Vec<(f64, f64)>,
 }
 
 impl MgHierarchy {
@@ -531,24 +384,12 @@ impl MgHierarchy {
             .iter()
             .map(|&d| ExecPlan::new(d, params.threads, params.crossover))
             .collect();
-        let cheb = if params.smoother == Smoother::Chebyshev {
-            (0..dims.len())
-                .map(|l| cheb_bounds(if l == 0 { fine } else { &coarse_ops[l - 1] }))
-                .collect()
-        } else {
-            Vec::new()
-        };
         Ok(Self {
             dims,
             factors,
             coarse_ops,
             plans,
             chol,
-            nu_pre: params.nu_pre,
-            nu_post: params.nu_post,
-            omega: params.omega,
-            smoother: params.smoother,
-            cheb,
         })
     }
 
@@ -578,34 +419,16 @@ impl MgHierarchy {
         &self.chol
     }
 
-    /// The smoother family this hierarchy was built for.
-    pub(crate) fn smoother(&self) -> Smoother {
-        self.smoother
-    }
-
-    /// `(nu_pre, nu_post)` smoothing sweeps per level.
-    pub(crate) fn sweeps(&self) -> (usize, usize) {
-        (self.nu_pre, self.nu_post)
-    }
-
-    /// Relaxation factor of the red-black smoother.
-    pub(crate) fn relax_omega(&self) -> f64 {
-        self.omega
-    }
-
     /// Fresh scratch space sized for this hierarchy.
     pub(crate) fn workspace(&self) -> MgWorkspace {
-        let n0 = self.dims[0].len();
         MgWorkspace {
-            r0: vec![0.0; n0],
-            d0: vec![0.0; n0],
+            r0: vec![0.0; self.dims[0].len()],
             tail: self.dims[1..]
                 .iter()
                 .map(|d| LevelBufs {
                     x: vec![0.0; d.len()],
                     b: vec![0.0; d.len()],
                     r: vec![0.0; d.len()],
-                    d: vec![0.0; d.len()],
                 })
                 .collect(),
         }
@@ -619,72 +442,14 @@ impl MgHierarchy {
         }
     }
 
-    /// Per-level Chebyshev intervals (empty unless built with
-    /// [`Smoother::Chebyshev`]).
-    pub(crate) fn cheb_intervals(&self) -> &[(f64, f64)] {
-        &self.cheb
-    }
-
     /// One V-cycle on `A·x = b` at the finest level: `x` is improved in
     /// place (pass zeros to apply the cycle as a preconditioner). The
     /// cycle is a fixed symmetric linear operator — safe inside CG.
     pub(crate) fn v_cycle(&self, fine: &Assembled, ws: &mut MgWorkspace, b: &[f64], x: &mut [f64]) {
-        let MgWorkspace { r0, d0, tail } = ws;
-        self.cycle(fine, 0, b, x, r0, d0, tail, false);
+        let MgWorkspace { r0, tail } = ws;
+        self.cycle(fine, 0, b, x, r0, tail);
     }
 
-    /// [`Self::v_cycle`] with a line search on every coarse-grid
-    /// correction: each prolongated correction is scaled by the
-    /// energy-norm-optimal step before it is added. Piecewise-constant
-    /// aggregation underestimates smooth error by a level-dependent
-    /// spectral factor, and the nested misscaling makes the unscaled
-    /// cycle stall as a stationary iteration on deep high-contrast
-    /// stacks; the per-level steps remove it. The scaling makes the
-    /// cycle nonlinear, so this variant is for standalone iteration
-    /// only — never use it as a CG preconditioner.
-    pub(crate) fn v_cycle_scaled(
-        &self,
-        fine: &Assembled,
-        ws: &mut MgWorkspace,
-        b: &[f64],
-        x: &mut [f64],
-    ) {
-        let MgWorkspace { r0, d0, tail } = ws;
-        self.cycle(fine, 0, b, x, r0, d0, tail, true);
-    }
-
-    /// Smoothing passes at one level: `nu` red-black sweeps in the given
-    /// colour order, or `nu` Chebyshev applications (self-adjoint, so
-    /// the colour order is irrelevant and pre/post are identical).
-    #[allow(clippy::too_many_arguments)] // recursion state, not an API
-    fn smooth(
-        &self,
-        op: &Assembled,
-        plan: &ExecPlan,
-        level: usize,
-        b: &[f64],
-        x: &mut [f64],
-        r: &mut [f64],
-        d: &mut [f64],
-        nu: usize,
-        colours: [usize; 2],
-    ) {
-        match self.smoother {
-            Smoother::RedBlack => {
-                for _ in 0..nu {
-                    op.rb_sweep(plan, x, b, self.omega, colours);
-                }
-            }
-            Smoother::Chebyshev => {
-                let (lo, hi) = self.cheb[level];
-                for _ in 0..nu {
-                    cheb_smooth(op, plan, lo, hi, b, x, r, d);
-                }
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // recursion state, not an API
     fn cycle(
         &self,
         fine: &Assembled,
@@ -692,9 +457,7 @@ impl MgHierarchy {
         b: &[f64],
         x: &mut [f64],
         r: &mut [f64],
-        d: &mut [f64],
         tail: &mut [LevelBufs],
-        scaled: bool,
     ) {
         let op = self.op(fine, level);
         if level + 1 == self.levels() {
@@ -702,7 +465,9 @@ impl MgHierarchy {
             return;
         }
         let plan = &self.plans[level];
-        self.smooth(op, plan, level, b, x, r, d, self.nu_pre, [0, 1]);
+        for _ in 0..SWEEPS {
+            op.rb_sweep(plan, x, b, OMEGA, [0, 1]);
+        }
         plan.map_mut(r, |range, chunk| {
             op.matvec_range(x, chunk, range.clone(), None);
             for (o, bv) in chunk.iter_mut().zip(&b[range]) {
@@ -726,27 +491,8 @@ impl MgHierarchy {
             x: cx,
             b: cb,
             r: cr,
-            d: cd,
         } = next;
-        self.cycle(fine, level + 1, cb, cx, cr, cd, rest, scaled);
-        if scaled && level + 2 < self.levels() {
-            // Energy-optimal step for the prolongated correction
-            // `e = P·cx`, computed entirely on the coarse level through
-            // the Galerkin identities `⟨e, r⟩ = ⟨cx, R·r⟩ = ⟨cx, cb⟩`
-            // and `⟨e, A·e⟩ = ⟨cx, (Pᵀ·A·P)·cx⟩ = ⟨cx, A_c·cx⟩`. The
-            // matvec and dots are serial, preserving thread-count
-            // independence; when the child level is the direct solve
-            // the step is exactly 1, so it is skipped.
-            let cop = self.op(fine, level + 1);
-            cop.matvec_range(cx, cr, 0..cx.len(), None);
-            let den = dot(cx, cr);
-            if den > 0.0 {
-                let alpha = dot(cx, cb) / den;
-                for v in cx.iter_mut() {
-                    *v *= alpha;
-                }
-            }
-        }
+        self.cycle(fine, level + 1, cb, cx, cr, rest);
         prolong_add(
             self.dims[level],
             self.dims[level + 1],
@@ -754,7 +500,9 @@ impl MgHierarchy {
             cx,
             x,
         );
-        self.smooth(op, plan, level, b, x, r, d, self.nu_post, [1, 0]);
+        for _ in 0..SWEEPS {
+            op.rb_sweep(plan, x, b, OMEGA, [1, 0]);
+        }
     }
 
     /// 2-norm of the residual restricted to each level, finest first —
@@ -918,247 +666,11 @@ impl Assembled {
     }
 }
 
-/// Standalone geometric-multigrid solver: iterate `x += α·V(b − A·x)`
-/// until the relative residual meets the tolerance, where `α` is the
-/// energy-norm-optimal step `⟨e,r⟩/⟨e,A·e⟩` for the cycle output `e`
-/// (preconditioned steepest descent — plain `x += e` stalls under the
-/// constant spectral misscaling of aggregation transfers).
-///
-/// For production solves prefer MG-preconditioned CG
-/// ([`crate::CgSolver::with_preconditioner`]) — CG absorbs the modest
-/// spectral misscaling of piecewise-constant aggregation and converges
-/// in fewer fine-grid passes; the standalone cycle is the algorithmically
-/// independent cross-check and the building block the preconditioner
-/// reuses.
-///
-/// ```
-/// use tsc_thermal::MgSolver;
-/// let solver = MgSolver::new().with_tolerance(1e-8).with_max_cycles(500);
-/// assert!(solver.tolerance() > 1e-9);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MgSolver {
-    tol: f64,
-    max_cycles: usize,
-    coarse_max: usize,
-    threads: usize,
-    crossover: usize,
-    smoother: Smoother,
-}
-
-impl MgSolver {
-    /// Default: relative tolerance `1e-9`, 1000-cycle budget, direct
-    /// solve at ≤ 512 cells, one worker per core above the crossover.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            tol: 1e-9,
-            max_cycles: 1000,
-            coarse_max: 512,
-            threads: default_threads(),
-            crossover: DEFAULT_PARALLEL_CROSSOVER,
-            smoother: Smoother::RedBlack,
-        }
-    }
-
-    /// Builder: relaxation family for every level of the hierarchy.
-    #[must_use]
-    pub fn with_smoother(mut self, smoother: Smoother) -> Self {
-        self.smoother = smoother;
-        self
-    }
-
-    /// Configured smoother.
-    #[must_use]
-    pub fn smoother(&self) -> Smoother {
-        self.smoother
-    }
-
-    /// Builder: relative residual tolerance.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < tol < 1`.
-    #[must_use]
-    pub fn with_tolerance(mut self, tol: f64) -> Self {
-        assert!(tol > 0.0 && tol < 1.0, "tolerance must be in (0, 1)");
-        self.tol = tol;
-        self
-    }
-
-    /// Builder: V-cycle budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_cycles` is zero.
-    #[must_use]
-    pub fn with_max_cycles(mut self, max_cycles: usize) -> Self {
-        assert!(max_cycles > 0, "cycle budget must be positive");
-        self.max_cycles = max_cycles;
-        self
-    }
-
-    /// Builder: cell count at which coarsening stops and the level is
-    /// solved directly. Small values force deeper hierarchies (useful
-    /// for testing the multilevel path on small meshes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells` is zero.
-    #[must_use]
-    pub fn with_coarse_limit(mut self, cells: usize) -> Self {
-        assert!(cells > 0, "coarse limit must be positive");
-        self.coarse_max = cells;
-        self
-    }
-
-    /// Builder: caps the worker threads. See
-    /// [`crate::CgSolver::with_threads`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "thread count must be positive");
-        self.threads = threads;
-        self
-    }
-
-    /// Builder: serial/parallel crossover in cells. See
-    /// [`crate::CgSolver::with_parallel_crossover`].
-    #[must_use]
-    pub fn with_parallel_crossover(mut self, cells: usize) -> Self {
-        self.crossover = cells;
-        self
-    }
-
-    /// Configured tolerance.
-    #[must_use]
-    pub fn tolerance(&self) -> f64 {
-        self.tol
-    }
-
-    pub(crate) fn mg_params(&self) -> MgParams {
-        MgParams {
-            coarse_max: self.coarse_max,
-            smoother: self.smoother,
-            ..MgParams::with_exec(self.threads, self.crossover)
-        }
-    }
-
-    /// Solves the problem.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`crate::CgSolver::solve`]; additionally,
-    /// a non-SPD coarsest level surfaces as [`SolveError::Diverged`]
-    /// during hierarchy construction.
-    pub fn solve(&self, p: &Problem) -> Result<Solution, SolveError> {
-        // tsc-analyze: allow(no-wallclock-numeric): feeds SolverStats wall-time only, never the numerics
-        let t0 = Instant::now();
-        let asm = Assembled::build(p)?;
-        let mg = MgHierarchy::build(&asm, &self.mg_params())?;
-        let mut ws = mg.workspace();
-        let n = asm.dim.len();
-        let plan = ExecPlan::new(asm.dim, self.threads, self.crossover);
-        let b_norm = norm(&asm.rhs).max(f64::MIN_POSITIVE);
-        let mut x = vec![asm.initial_guess; n];
-        #[cfg(feature = "fault-inject")]
-        let max_cycles = {
-            crate::fault::begin_solve();
-            crate::fault::poison_field(&mut x);
-            crate::fault::truncated_budget(self.max_cycles)
-        };
-        #[cfg(not(feature = "fault-inject"))]
-        let max_cycles = self.max_cycles;
-        let mut r = vec![0.0; n];
-        let mut e = vec![0.0; n];
-        let mut ax = vec![0.0; n];
-        let mut ae = vec![0.0; n];
-        let mut cycles = 0_usize;
-        let mut matvecs = 0_usize;
-
-        let mut residual = asm.residual_norm(&plan, &x, &asm.rhs, b_norm, &mut ax);
-        matvecs += 1;
-        let mut trajectory = vec![(0, residual)];
-        while residual > self.tol && residual.is_finite() && cycles < max_cycles {
-            for ((rv, bv), av) in r.iter_mut().zip(&asm.rhs).zip(&ax) {
-                *rv = bv - av;
-            }
-            e.fill(0.0);
-            mg.v_cycle_scaled(&asm, &mut ws, &r, &mut e);
-            // Line-searched correction `x += α·e` with
-            // `α = ⟨e,r⟩ / ⟨e,A·e⟩`: piecewise-constant aggregation
-            // misscales the coarse correction by a roughly constant
-            // spectral factor, which stalls the plain `x += e` iteration
-            // on large meshes; the optimal step makes the cycle a
-            // preconditioned steepest-descent step, which converges for
-            // every SPD operator. The dots are serial, so thread-count
-            // independence is preserved.
-            plan.map_mut(&mut ae, |range, chunk| {
-                asm.matvec_range(&e, chunk, range, None);
-            });
-            matvecs += 1;
-            let den = dot(&e, &ae);
-            let alpha = if den > 0.0 { dot(&e, &r) / den } else { 1.0 };
-            for (xv, ev) in x.iter_mut().zip(&e) {
-                *xv += alpha * ev;
-            }
-            cycles += 1;
-            residual = asm.residual_norm(&plan, &x, &asm.rhs, b_norm, &mut ax);
-            matvecs += 1;
-            #[cfg(feature = "fault-inject")]
-            {
-                residual = crate::fault::corrupt_residual(cycles, residual);
-            }
-            trajectory.push((cycles, residual));
-        }
-
-        if !residual.is_finite() || !x.iter().all(|v| v.is_finite()) {
-            return Err(SolveError::Diverged {
-                iterations: cycles,
-                residual,
-            });
-        }
-        if residual > self.tol {
-            return Err(SolveError::NotConverged {
-                iterations: cycles,
-                residual,
-            });
-        }
-        for ((rv, bv), av) in r.iter_mut().zip(&asm.rhs).zip(&ax) {
-            *rv = bv - av;
-        }
-        let level_residuals = mg.level_norms(&r, &mut ws);
-        let stats = SolverStats {
-            iterations: cycles,
-            residual,
-            matvecs,
-            cycles,
-            level_residuals,
-            preconditioner: Preconditioner::Multigrid,
-            precision: Precision::F64,
-            refinements: 0,
-            assembly_seconds: asm.assembly_seconds,
-            solve_seconds: t0.elapsed().as_secs_f64() - asm.assembly_seconds,
-            threads: plan.threads(),
-            trajectory,
-        };
-        Ok(asm.solution(&x, stats, p.total_power().watts()))
-    }
-}
-
-impl Default for MgSolver {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::heatsink::Heatsink;
+    use crate::problem::Problem;
     use crate::CgSolver;
     use tsc_rng::Rng64;
     use tsc_units::{HeatTransferCoefficient, Length, Power, Temperature, ThermalConductivity};
@@ -1282,32 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn v_cycles_contract_the_residual() {
-        let p = hetero(9, 9, 10, 0x51);
-        let sol = MgSolver::new()
-            .with_tolerance(1e-10)
-            .with_coarse_limit(24)
-            .solve(&p)
-            .expect("mg converges");
-        let traj = &sol.stats.trajectory;
-        assert!(traj.len() >= 3, "expected several cycles, got {traj:?}");
-        for w in traj.windows(2) {
-            assert!(
-                w[1].1 < w[0].1 * 0.95,
-                "cycle failed to contract: {:?}",
-                traj
-            );
-        }
-        assert_eq!(sol.stats.cycles, sol.stats.iterations);
-        assert_eq!(sol.stats.preconditioner, Preconditioner::Multigrid);
-        assert!(
-            sol.stats.level_residuals.len() >= 3,
-            "expected a multilevel diagnostic, got {:?}",
-            sol.stats.level_residuals
-        );
-    }
-
-    #[test]
     fn mg_pcg_matches_jacobi_cg_closely() {
         let p = hetero(10, 8, 9, 0x61);
         let jacobi = CgSolver::new().with_tolerance(1e-10).solve(&p).expect("cg");
@@ -1328,14 +814,136 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_operator_fails_cholesky_not_nan() {
+    fn poisoned_rhs_diverges_not_nan() {
         let mut p = hetero(4, 4, 4, 0x71);
         p.add_power(1, 1, 1, Power::from_watts(f64::NAN));
         // NaN power only poisons the RHS; the operator stays SPD, so the
         // failure must surface as Diverged from the iteration, not Ok.
-        match MgSolver::new().solve(&p).unwrap_err() {
+        let result = CgSolver::new()
+            .with_preconditioner(Preconditioner::Multigrid)
+            .solve(&p);
+        match result.unwrap_err() {
             SolveError::Diverged { residual, .. } => assert!(!residual.is_finite()),
             other => panic!("expected Diverged, got {other:?}"),
+        }
+    }
+
+    /// Random small heterogeneous stacks (36 to 648 cells). At the
+    /// production coarse limit they would all be a single dense level;
+    /// [`deep_hierarchy`] forces several.
+    fn random_cases(seed: u64, count: usize) -> Vec<Problem> {
+        let mut rng = Rng64::seed_from_u64(seed);
+        (0..count)
+            .map(|_| {
+                let (nx, ny, nz) = (
+                    rng.gen_range(3..10),
+                    rng.gen_range(3..10),
+                    rng.gen_range(4..9),
+                );
+                hetero(nx, ny, nz, rng.next_u64())
+            })
+            .collect()
+    }
+
+    /// A hierarchy that coarsens down to 24 cells, so every random case
+    /// cycles through at least two levels.
+    fn deep_hierarchy(asm: &Assembled, threads: usize, crossover: usize) -> MgHierarchy {
+        let params = MgParams {
+            coarse_max: 24,
+            ..MgParams::with_exec(threads, crossover)
+        };
+        MgHierarchy::build(asm, &params).expect("SPD")
+    }
+
+    /// MG-PCG over [`deep_hierarchy`] from the assembled initial guess.
+    fn deep_mg_pcg(asm: &Assembled, threads: usize, crossover: usize) -> (Vec<f64>, SolverStats) {
+        let mg = deep_hierarchy(asm, threads, crossover);
+        let mut ws = mg.workspace();
+        let params = CgParams {
+            tol: 1e-10,
+            max_iter: 50_000,
+            threads,
+            crossover,
+            traj_stride: 1,
+        };
+        let mut x = vec![asm.initial_guess; asm.dim.len()];
+        let stats = asm
+            .cg_core_mg(&asm.rhs, &mut x, &params, &mg, &mut ws)
+            .expect("mg-pcg converges");
+        assert!(
+            stats.level_residuals.len() >= 2,
+            "expected a multilevel hierarchy, got {:?}",
+            stats.level_residuals
+        );
+        (x, stats)
+    }
+
+    #[test]
+    fn deep_mg_pcg_agrees_with_jacobi_cg() {
+        for p in random_cases(0x7001, 10) {
+            let asm = Assembled::build(&p).expect("well-posed");
+            let reference = CgSolver::new().with_tolerance(1e-10).solve(&p).expect("cg");
+            let (x, stats) = deep_mg_pcg(&asm, 1, usize::MAX);
+            let dev = x
+                .iter()
+                .zip(reference.temperatures.iter_kelvin())
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0_f64, f64::max);
+            assert!(dev < 1e-6, "MG-PCG deviates from Jacobi-CG by {dev} K");
+            assert_eq!(stats.preconditioner, Preconditioner::Multigrid);
+            assert!(stats.cycles > 0, "MG-PCG must report its V-cycles");
+        }
+    }
+
+    /// Every V-cycle, iterated on its own, contracts the residual.
+    #[test]
+    fn every_v_cycle_contracts_the_residual() {
+        for p in random_cases(0x7002, 10) {
+            let asm = Assembled::build(&p).expect("well-posed");
+            let mg = deep_hierarchy(&asm, 1, usize::MAX);
+            let mut ws = mg.workspace();
+            let n = asm.dim.len();
+            let plan = ExecPlan::new(asm.dim, 1, usize::MAX);
+            let b_norm = norm(&asm.rhs);
+            let mut x = vec![asm.initial_guess; n];
+            let mut ax = vec![0.0; n];
+            let mut before = asm.residual_norm(&plan, &x, &asm.rhs, b_norm, &mut ax);
+            for cycle in 0..6 {
+                mg.v_cycle(&asm, &mut ws, &asm.rhs, &mut x);
+                let after = asm.residual_norm(&plan, &x, &asm.rhs, b_norm, &mut ax);
+                assert!(
+                    after < before,
+                    "V-cycle {cycle} failed to contract: {before} -> {after} ({:?})",
+                    asm.dim
+                );
+                before = after;
+            }
+            let r: Vec<f64> = asm.rhs.iter().zip(&ax).map(|(b, a)| b - a).collect();
+            assert!(mg.level_norms(&r, &mut ws).len() >= 2);
+        }
+    }
+
+    /// Forced-parallel (crossover 0, so even tiny meshes band) and serial
+    /// MG-PCG must agree bit for bit through smoothing on every level,
+    /// the transfers and the preconditioned CG loop.
+    #[test]
+    fn forced_parallel_deep_mg_pcg_is_bitwise_identical_to_serial() {
+        for p in random_cases(0x7003, 8) {
+            let asm = Assembled::build(&p).expect("well-posed");
+            let (serial, s_stats) = deep_mg_pcg(&asm, 1, usize::MAX);
+            for threads in [3, 4] {
+                let (parallel, p_stats) = deep_mg_pcg(&asm, threads, 0);
+                assert!(
+                    serial
+                        .iter()
+                        .zip(&parallel)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "MG-PCG not bitwise thread-independent at {threads} threads ({:?})",
+                    asm.dim
+                );
+                assert_eq!(s_stats.iterations, p_stats.iterations);
+                assert_eq!(s_stats.cycles, p_stats.cycles);
+            }
         }
     }
 }

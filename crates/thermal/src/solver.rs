@@ -177,7 +177,8 @@ pub struct SolverStats {
     /// Outer iterative-refinement passes of a mixed-precision solve
     /// (0 for pure-f64 solves).
     pub refinements: usize,
-    /// Wall-clock seconds spent assembling the operator.
+    /// Wall-clock seconds spent assembling the operator (0 when a
+    /// [`crate::SolveContext`] reused its cached operator).
     pub assembly_seconds: f64,
     /// Wall-clock seconds spent iterating (excludes assembly).
     pub solve_seconds: f64,
@@ -918,7 +919,6 @@ pub struct CgSolver {
     traj_stride: usize,
     precon: Preconditioner,
     precision: Precision,
-    smoother: crate::multigrid::Smoother,
 }
 
 impl CgSolver {
@@ -935,7 +935,6 @@ impl CgSolver {
             traj_stride: 100,
             precon: Preconditioner::Jacobi,
             precision: Precision::F64,
-            smoother: crate::multigrid::Smoother::RedBlack,
         }
     }
 
@@ -978,25 +977,6 @@ impl CgSolver {
     #[must_use]
     pub fn precision(&self) -> Precision {
         self.precision
-    }
-
-    /// Builder: selects the multigrid smoother (effective for
-    /// [`Preconditioner::Multigrid`] and for every mixed-precision
-    /// solve). [`crate::multigrid::Smoother::Chebyshev`] replaces the
-    /// red-black sweeps with a fixed-degree Chebyshev polynomial in
-    /// `D⁻¹A` — matvec plus AXPY only, no inner reductions or coloured
-    /// scatter, so it autovectorizes and scales better in parallel while
-    /// keeping the V-cycle symmetric (valid inside CG).
-    #[must_use]
-    pub fn with_smoother(mut self, smoother: crate::multigrid::Smoother) -> Self {
-        self.smoother = smoother;
-        self
-    }
-
-    /// Configured multigrid smoother.
-    #[must_use]
-    pub fn smoother(&self) -> crate::multigrid::Smoother {
-        self.smoother
     }
 
     /// Builder: sets the relative residual tolerance.
@@ -1077,7 +1057,6 @@ impl CgSolver {
 
     pub(crate) fn mg_params(&self) -> crate::multigrid::MgParams {
         crate::multigrid::MgParams::with_exec(self.threads, self.crossover)
-            .with_smoother(self.smoother)
     }
 
     /// Solves the problem.

@@ -1,5 +1,5 @@
 //! Solver-level race-check suite (`--features race-check` only):
-//! forced-parallel CG/SOR/multigrid solves with the write-set checker
+//! forced-parallel CG/SOR/MG-PCG/mixed solves with the write-set checker
 //! live, plus schedule-perturbation bitwise-identity checks.
 //!
 //! The process-global schedule seed and region counter are shared by
@@ -10,8 +10,7 @@
 use std::sync::{Mutex, MutexGuard};
 use tsc_thermal::race;
 use tsc_thermal::{
-    CgSolver, Heatsink, MgSolver, Precision, Preconditioner, Problem, Smoother, Solution,
-    SolveError, SorSolver,
+    CgSolver, Heatsink, Precision, Preconditioner, Problem, Solution, SolveError, SorSolver,
 };
 use tsc_units::{HeatFlux, Length, ThermalConductivity};
 
@@ -87,18 +86,6 @@ fn sor_parallel_solve_is_race_checked() {
 }
 
 #[test]
-fn multigrid_parallel_solve_is_race_checked() {
-    let _g = lock();
-    let sol = solve_checked("mg", |p| {
-        MgSolver::new()
-            .with_threads(4)
-            .with_parallel_crossover(0)
-            .solve(p)
-    });
-    assert!(sol.temperatures.max_temperature().kelvin().is_finite());
-}
-
-#[test]
 fn mg_preconditioned_cg_is_race_checked() {
     let _g = lock();
     let sol = solve_checked("cg+mg", |p| {
@@ -124,20 +111,6 @@ fn mixed_precision_solve_is_race_checked() {
     assert!(sol.temperatures.max_temperature().kelvin().is_finite());
 }
 
-#[test]
-fn chebyshev_multigrid_solve_is_race_checked() {
-    let _g = lock();
-    let sol = solve_checked("cg+mg-cheb", |p| {
-        CgSolver::new()
-            .with_preconditioner(Preconditioner::Multigrid)
-            .with_smoother(Smoother::Chebyshev)
-            .with_threads(4)
-            .with_parallel_crossover(0)
-            .solve(p)
-    });
-    assert!(sol.temperatures.max_temperature().kelvin().is_finite());
-}
-
 /// Permuting the band execution order must not change a single bit of
 /// the solution — the engine's order-independence claim, tested for
 /// each solver family.
@@ -145,7 +118,7 @@ fn chebyshev_multigrid_solve_is_race_checked() {
 fn permuted_schedules_are_bitwise_identical() {
     let _g = lock();
     let p = problem();
-    let solvers: [(&str, SolveFn); 5] = [
+    let solvers: [(&str, SolveFn); 4] = [
         ("cg", |p| {
             CgSolver::new()
                 .with_threads(4)
@@ -158,8 +131,9 @@ fn permuted_schedules_are_bitwise_identical() {
                 .with_parallel_crossover(0)
                 .solve(p)
         }),
-        ("mg", |p| {
-            MgSolver::new()
+        ("cg+mg", |p| {
+            CgSolver::new()
+                .with_preconditioner(Preconditioner::Multigrid)
                 .with_threads(4)
                 .with_parallel_crossover(0)
                 .solve(p)
@@ -167,14 +141,6 @@ fn permuted_schedules_are_bitwise_identical() {
         ("cg-mixed", |p| {
             CgSolver::new()
                 .with_precision(Precision::Mixed)
-                .with_threads(4)
-                .with_parallel_crossover(0)
-                .solve(p)
-        }),
-        ("cg+mg-cheb", |p| {
-            CgSolver::new()
-                .with_preconditioner(Preconditioner::Multigrid)
-                .with_smoother(Smoother::Chebyshev)
                 .with_threads(4)
                 .with_parallel_crossover(0)
                 .solve(p)

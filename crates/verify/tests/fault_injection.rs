@@ -14,7 +14,7 @@
 
 use tsc_thermal::electrothermal::{solve_electrothermal_with, ElectrothermalError, LeakageModel};
 use tsc_thermal::fault::{self, FaultKind, FaultPlan};
-use tsc_thermal::{CgSolver, Heatsink, MgSolver, Preconditioner, Problem, SolveError, SorSolver};
+use tsc_thermal::{CgSolver, Heatsink, Precision, Preconditioner, Problem, SolveError, SorSolver};
 use tsc_units::{Length, Power, TempDelta, Temperature, ThermalConductivity};
 
 fn fixture() -> Problem {
@@ -52,7 +52,9 @@ const SOLVERS: [(&str, SolverFn); 4] = [
             .solve(p)
     }),
     ("sor", |p| SorSolver::new().solve(p)),
-    ("mg", |p| MgSolver::new().solve(p)),
+    ("cg-mixed", |p| {
+        CgSolver::new().with_precision(Precision::Mixed).solve(p)
+    }),
 ];
 
 /// The core contract: under any armed fault, a solver either returns a
@@ -156,33 +158,35 @@ fn corrupted_residuals_diverge_in_every_solver() {
 #[test]
 fn truncated_budgets_surface_as_not_converged() {
     for (label, solve) in SOLVERS {
-        let plan = FaultPlan {
-            kind: FaultKind::TruncateBudget,
-            target_solve: 0,
-            trigger_iteration: 2,
-            cell_position: 0.0,
-        };
-        let p = fixture();
-        fault::arm(plan);
-        let result = solve(&p);
-        let injections = fault::injections();
-        fault::disarm();
-        assert_eq!(injections, 1, "{label}: truncation must fire");
-        match result {
-            Err(SolveError::NotConverged { iterations, .. }) => {
-                assert!(
-                    iterations <= 2,
-                    "{label}: truncated to 2 but reported {iterations} iterations"
-                );
+        for budget in [1, 2] {
+            let plan = FaultPlan {
+                kind: FaultKind::TruncateBudget,
+                target_solve: 0,
+                trigger_iteration: budget,
+                cell_position: 0.0,
+            };
+            let p = fixture();
+            fault::arm(plan);
+            let result = solve(&p);
+            let injections = fault::injections();
+            fault::disarm();
+            assert_eq!(injections, 1, "{label}: truncation must fire");
+            match result {
+                Err(SolveError::NotConverged { iterations, .. }) => {
+                    assert!(
+                        iterations <= budget,
+                        "{label}: truncated to {budget} but reported {iterations} iterations"
+                    );
+                }
+                // A solver beating the truncated budget is legal but must
+                // still have honored it.
+                Ok(solution) => assert!(
+                    solution.stats.iterations <= budget,
+                    "{label}: Ok but ran {} iterations past the truncated budget {budget}",
+                    solution.stats.iterations
+                ),
+                other => panic!("{label}: truncated budget must be NotConverged, got {other:?}"),
             }
-            // A solver beating the truncated budget is legal but must
-            // still have honored it.
-            Ok(solution) => assert!(
-                solution.stats.iterations <= 2,
-                "{label}: Ok but ran {} iterations past the truncated budget",
-                solution.stats.iterations
-            ),
-            other => panic!("{label}: truncated budget must be NotConverged, got {other:?}"),
         }
     }
 }
