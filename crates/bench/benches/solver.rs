@@ -2,15 +2,19 @@
 //! every figure — including the serial-vs-parallel comparison on the
 //! paper's Gemmini 12-tier stack.
 //!
-//! Run with `cargo bench --bench solver`; set `BENCH_FAST=1` for a
-//! 3-sample smoke pass. Results are recorded in `EXPERIMENTS.md`.
+//! Run with `cargo bench -p tsc-bench --bench solver`; set
+//! `BENCH_FAST=1` for a 3-sample smoke pass. Results are recorded in
+//! `EXPERIMENTS.md` and `BENCH_SOLVER.json`.
 
 use tsc_bench::json::Json;
 use tsc_bench::timing::Bench;
+use tsc_bench::timing::Measurement;
 use tsc_core::beol::BeolProperties;
-use tsc_core::stack::{build, StackConfig};
+use tsc_core::stack::{build, hot_loop_solver, StackConfig};
 use tsc_designs::gemmini;
-use tsc_thermal::{CgSolver, Heatsink, Precision, Preconditioner, Problem, Solution, SorSolver};
+use tsc_thermal::{
+    CgSolver, Heatsink, Precision, Preconditioner, Problem, Solution, SolveContext, SorSolver,
+};
 use tsc_units::{Length, Power, ThermalConductivity};
 
 fn slab(n: usize, nz: usize) -> Problem {
@@ -170,10 +174,71 @@ fn record(mesh: &str, cells: usize, solver: &str, tol: f64, sol: &Solution, seco
         .field("wall_seconds_median", seconds)
 }
 
+/// Cold solves at the sizes production runs, at the hot loops' 1e-8:
+/// the serving fixture (`gemmini-memory`, 4 tiers × 16 cells =
+/// 16×16×17), the 8-tier 12×12×33 background stack and a 12-tier
+/// 32×32×49 stack. Each sample solves through a fresh [`SolveContext`],
+/// so it pays assembly, hierarchy set-up and iterations — the cost one
+/// cold evaluation has in a sweep. Returns one record per mesh and
+/// solver with median, IQR and sample count.
+fn bench_production_meshes(b: &Bench) -> Vec<Json> {
+    let design = gemmini::memory_tier();
+    let tol = 1e-8;
+    let f64_mg = CgSolver::new()
+        .with_tolerance(tol)
+        .with_preconditioner(Preconditioner::Multigrid);
+    let jacobi = CgSolver::new().with_tolerance(tol);
+    let mut entries = Vec::new();
+    for (tiers, lateral, samples) in [(4, 16, 21), (8, 12, 21), (12, 32, 11)] {
+        let cfg = StackConfig::uniform(tiers, BeolProperties::scaffolded(), Heatsink::two_phase())
+            .with_lateral_cells(lateral);
+        let p = build(&design, &cfg).problem;
+        let d = p.dim();
+        let mesh = format!("{}x{}x{}", d.nx, d.ny, d.nz);
+        for (name, solver) in [
+            ("hot_loop", hot_loop_solver()),
+            ("f64_mg_pcg", f64_mg),
+            ("jacobi_cg", jacobi),
+        ] {
+            let cold = || SolveContext::new().solve(&p, &solver).expect("cold solve");
+            let t = b.run(&format!("{mesh}/{name}"), samples, cold);
+            entries.push(production_record(&mesh, d.len(), name, tol, &cold(), &t));
+        }
+    }
+    entries
+}
+
+fn production_record(
+    mesh: &str,
+    cells: usize,
+    solver: &str,
+    tol: f64,
+    sol: &Solution,
+    t: &Measurement,
+) -> Json {
+    Json::object()
+        .field("id", format!("{mesh}/{solver}"))
+        .field("mesh", mesh)
+        .field("cells", cells)
+        .field("solver", solver)
+        .field("preconditioner", sol.stats.preconditioner.to_string())
+        .field("precision", sol.stats.precision.to_string())
+        .field("tolerance", tol)
+        .field("iterations", sol.stats.iterations)
+        .field("refinements", sol.stats.refinements)
+        .field("assembly_seconds", sol.stats.assembly_seconds)
+        .field("setup_seconds", sol.stats.setup_seconds)
+        .field("solve_seconds", sol.stats.solve_seconds)
+        .field("wall_seconds_median", t.seconds())
+        .field("wall_seconds_iqr", t.iqr.as_secs_f64())
+        .field("n", t.samples)
+}
+
 /// Jacobi-CG vs MG-PCG vs mixed-precision MG-PCG on the Gemmini 12-tier
 /// mesh. Emits `BENCH_SOLVER.json` at the repo root with one
-/// machine-readable entry per solver.
-fn bench_multigrid_gemmini(b: &Bench) {
+/// machine-readable entry per solver, plus the `production_cold`
+/// records of [`bench_production_meshes`].
+fn bench_multigrid_gemmini(b: &Bench, production_cold: Vec<Json>) {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let fast = std::env::var_os("BENCH_FAST").is_some();
     let lateral = if fast { 32 } else { 64 };
@@ -256,7 +321,8 @@ fn bench_multigrid_gemmini(b: &Bench) {
             Json::object()
                 .field("wall_clock_speedup", speedup)
                 .field("max_abs_dt_kelvin", dev_mixed),
-        );
+        )
+        .field("production_cold", production_cold);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_SOLVER.json");
     std::fs::write(path, doc.pretty()).expect("write BENCH_SOLVER.json");
     println!("  wrote {path}");
@@ -271,6 +337,8 @@ fn main() {
     bench_high_contrast(&b);
     let b = Bench::group("parallel_gemmini");
     bench_parallel_gemmini(&b);
+    let b = Bench::group("production_cold");
+    let production_cold = bench_production_meshes(&b);
     let b = Bench::group("multigrid_gemmini");
-    bench_multigrid_gemmini(&b);
+    bench_multigrid_gemmini(&b, production_cold);
 }

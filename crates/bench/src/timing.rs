@@ -28,6 +28,8 @@ pub struct Measurement {
     pub median: Duration,
     /// Minimum observed time per iteration.
     pub min: Duration,
+    /// Interquartile range (nearest-rank quartiles) of the samples.
+    pub iqr: Duration,
     /// Samples measured.
     pub samples: usize,
 }
@@ -76,9 +78,11 @@ impl Bench {
             times.push(t0.elapsed());
         }
         times.sort_unstable();
+        let n = times.len();
         let m = Measurement {
-            median: times[times.len() / 2],
+            median: times[n / 2],
             min: times[0],
+            iqr: times[3 * n / 4] - times[n / 4],
             samples,
         };
         println!(

@@ -17,10 +17,11 @@
 //! conductivity improves (Fig. 12b) — at 75 % less pillar area.
 
 use crate::beol::{self, BeolProperties};
+use crate::stack::hot_loop_solver;
 use tsc_geometry::{Grid2, Rect};
 use tsc_homogenize::pillar::PillarDesign;
 use tsc_materials::Anisotropic;
-use tsc_thermal::{CgSolver, Heatsink, Problem, SolveContext, SolveError};
+use tsc_thermal::{Heatsink, Problem, SolveContext, SolveError};
 use tsc_units::{HeatFlux, Length, Ratio, TempDelta, ThermalConductivity};
 
 /// Geometry of the toy problem.
@@ -213,10 +214,7 @@ pub fn solve_toy_with(
     }
     p.set_bottom_heatsink(cfg.heatsink);
 
-    let solver = CgSolver::new()
-        .with_tolerance(1e-9)
-        .with_preconditioner(tsc_thermal::Preconditioner::Multigrid);
-    let sol = ctx.solve(&p, &solver)?;
+    let sol = ctx.solve(&p, &hot_loop_solver().with_tolerance(1e-9))?;
     let peak = sol.temperatures.layer_max(5);
     Ok(ToyResult {
         peak_rise: peak - cfg.heatsink.ambient,

@@ -3,7 +3,10 @@
 //!
 //! All tests run with a single worker so scheduling is deterministic: a
 //! "blocker" job occupies the worker while the behaviour under test is
-//! staged behind it in the queue.
+//! staged behind it in the queue. Each test asserts that the blocker is
+//! still in flight once its requests are staged, so a solver speedup
+//! that makes the blocker too short fails with that message instead of
+//! a wrong count.
 
 mod common;
 
@@ -14,9 +17,10 @@ use std::time::{Duration, Instant};
 use common::{one_shot, TestClient};
 use tsc_serve::{Server, ServerConfig};
 
-/// A solve expensive enough (~hundreds of ms on one core) to hold the
-/// single worker while other requests are staged.
-const BLOCKER: &[u8] = br#"{"design": "gemmini", "tiers": 3, "lateral_cells": 12}"#;
+/// A solve expensive enough to hold the single worker while other
+/// requests are staged: a cold 12-tier stack on a 48×48×49 mesh,
+/// 0.7–1.0 s in the debug test profile (stack build plus mixed MG-PCG).
+const BLOCKER: &[u8] = br#"{"design": "gemmini", "tiers": 12, "lateral_cells": 48}"#;
 /// A cheap, distinct solve used as the staged request.
 const SMALL: &[u8] = br#"{"design": "gemmini-memory", "tiers": 2, "lateral_cells": 6}"#;
 
@@ -30,16 +34,31 @@ fn single_worker_server(queue_cap: usize) -> Server {
     .expect("bind ephemeral port")
 }
 
-/// Wait until the single worker has picked up a job.
-fn wait_for_inflight(server: &Server) {
+/// Polls `done` until it holds (30 s cap, then fails naming `what`).
+fn wait_until(what: &str, done: impl Fn() -> bool) {
     let start = Instant::now();
-    while server.metrics().inflight.get() == 0 {
-        assert!(
-            start.elapsed() < Duration::from_secs(30),
-            "worker never picked up the blocker"
-        );
+    while !done() {
+        assert!(start.elapsed() < Duration::from_secs(30), "{what}");
         thread::sleep(Duration::from_millis(2));
     }
+}
+
+/// The precondition of every test below: the blocker still holds the
+/// worker, so the staged requests really wait behind it.
+fn assert_blocker_in_flight(server: &Server) {
+    assert!(
+        server.metrics().backend_solves_total.get() == 0 && server.metrics().inflight.get() == 1,
+        "BLOCKER finished before the staged requests were queued; \
+         it is too fast to hold the worker, pick a slower one"
+    );
+}
+
+/// Wait until the single worker has picked up the blocker.
+fn wait_for_inflight(server: &Server) {
+    wait_until("worker never picked up the blocker", || {
+        server.metrics().inflight.get() > 0 || server.metrics().backend_solves_total.get() > 0
+    });
+    assert_blocker_in_flight(server);
 }
 
 #[test]
@@ -65,6 +84,12 @@ fn identical_concurrent_solves_coalesce_to_one_backend_solve() {
             })
         })
         .collect();
+    wait_until("identical requests never staged", || {
+        let m = server.metrics();
+        m.backend_solves_total.get() > 0
+            || (m.coalesced_total.get() == (K - 1) as u64 && m.queue_depth.get() == 1)
+    });
+    assert_blocker_in_flight(&server);
 
     let bodies: Vec<String> = clients
         .into_iter()
@@ -99,14 +124,10 @@ fn full_queue_rejects_with_429_but_never_drops_accepted_jobs() {
 
     // The queue (capacity 1) now takes exactly one staged job.
     let staged = thread::spawn(move || one_shot(addr, "POST", "/v1/solve", &[], SMALL));
-    let start = Instant::now();
-    while server.metrics().queue_depth.get() == 0 {
-        assert!(
-            start.elapsed() < Duration::from_secs(30),
-            "staged job never queued"
-        );
-        thread::sleep(Duration::from_millis(2));
-    }
+    wait_until("staged job never queued", || {
+        server.metrics().backend_solves_total.get() > 0 || server.metrics().queue_depth.get() == 1
+    });
+    assert_blocker_in_flight(&server);
 
     // A third, distinct request must be shed with 429 + Retry-After.
     let rejected = one_shot(
@@ -116,6 +137,7 @@ fn full_queue_rejects_with_429_but_never_drops_accepted_jobs() {
         &[],
         br#"{"design": "rocket", "tiers": 2, "lateral_cells": 6}"#,
     );
+    assert_blocker_in_flight(&server);
     assert_eq!(rejected.status, 429);
     assert_eq!(rejected.header("retry-after"), Some("1"));
 
@@ -138,6 +160,7 @@ fn queued_request_past_its_deadline_gets_504_yet_still_executes() {
 
     // Deadline far shorter than the blocker: expires while queued.
     let resp = one_shot(addr, "POST", "/v1/solve", &[("X-Deadline-Ms", "1")], SMALL);
+    assert_blocker_in_flight(&server);
     assert_eq!(resp.status, 504);
     assert_eq!(blocker.join().expect("blocker").status, 200);
     assert_eq!(server.metrics().deadline_timeouts.get(), 1);
@@ -166,6 +189,7 @@ fn graceful_shutdown_drains_in_flight_work() {
 
     // Shut down while the solve is running: the client must still get its
     // 200 — accepted work drains before the workers exit.
+    assert_blocker_in_flight(&server);
     server.shutdown();
     let resp = inflight.join().expect("in-flight client");
     assert_eq!(resp.status, 200, "body: {}", resp.body_str());

@@ -39,6 +39,7 @@ use crate::kernels::{HierarchyF32, WorkspaceF32};
 use crate::multigrid::{MgHierarchy, MgWorkspace};
 use crate::problem::Problem;
 use crate::solver::{Assembled, CgSolver, Precision, Preconditioner, Solution, SolveError};
+use std::time::Instant;
 use tsc_geometry::Dim3;
 use tsc_units::Length;
 
@@ -378,22 +379,33 @@ impl SolveContext {
             _ => vec![asm.initial_guess; n],
         };
 
+        let mixed = solver.precision() == Precision::Mixed;
+        let cold = (needs_mg && hierarchy.is_none()) || (mixed && h32.is_none());
+        // tsc-analyze: allow(no-wallclock-numeric): feeds SolverStats wall-time only, never the numerics
+        let t_setup = Instant::now();
         if needs_mg && hierarchy.is_none() {
             let mg = MgHierarchy::build(asm, &solver.mg_params())?;
             *workspace = Some(mg.workspace());
             *hierarchy = Some(mg);
             stats.hierarchy_builds += 1;
         }
-        let result = if solver.precision() == Precision::Mixed {
+        if mixed && h32.is_none() {
+            // tsc-analyze: allow(no-unwrap): populated in the branch above
+            let mg = hierarchy.as_ref().expect("hierarchy cached above");
+            let shadow = HierarchyF32::build(asm, mg);
+            *ws32 = Some(shadow.workspace());
+            *h32 = Some(shadow);
+        }
+        let setup_seconds = if cold {
+            t_setup.elapsed().as_secs_f64()
+        } else {
+            0.0
+        };
+        let result = if mixed {
             // tsc-analyze: allow(no-unwrap): populated in the branch above
             let mg = hierarchy.as_ref().expect("hierarchy cached above");
             // tsc-analyze: allow(no-unwrap): populated in the branch above
             let ws = workspace.as_mut().expect("workspace cached above");
-            if h32.is_none() {
-                let shadow = HierarchyF32::build(asm, mg);
-                *ws32 = Some(shadow.workspace());
-                *h32 = Some(shadow);
-            }
             // tsc-analyze: allow(no-unwrap): populated in the branch above
             let shadow = h32.as_ref().expect("f32 hierarchy cached above");
             // tsc-analyze: allow(no-unwrap): populated in the branch above
@@ -416,6 +428,7 @@ impl SolveContext {
                 if reuse {
                     solver_stats.assembly_seconds = 0.0;
                 }
+                solver_stats.setup_seconds = setup_seconds;
                 stats.total_iterations += solver_stats.iterations;
                 stats.total_matvecs += solver_stats.matvecs;
                 stats.total_cycles += solver_stats.cycles;
@@ -666,6 +679,36 @@ mod tests {
         let reassembled = ctx.solve(&p, &mg_solver()).expect("conductivity delta");
         assert!(reassembled.stats.assembly_seconds > 0.0);
         assert_eq!(ctx.stats().operator_reuses, 2);
+    }
+
+    #[test]
+    fn only_the_building_solve_reports_setup_time() {
+        let mut p = problem();
+        let mut ctx = SolveContext::new();
+        for solver in [mg_solver(), mg_solver().with_precision(Precision::Mixed)] {
+            ctx.invalidate();
+            let t0 = Instant::now();
+            let cold = ctx.solve(&p, &solver).expect("cold");
+            let wall = t0.elapsed().as_secs_f64();
+            let s = &cold.stats;
+            assert!(s.setup_seconds > 0.0, "{solver:?}");
+            assert!(
+                s.assembly_seconds + s.setup_seconds + s.solve_seconds <= wall,
+                "{solver:?}: stages {} + {} + {} exceed the wall time {wall}",
+                s.assembly_seconds,
+                s.setup_seconds,
+                s.solve_seconds
+            );
+            p.add_power(2, 2, 7, Power::from_watts(0.5));
+            let reused = ctx.solve(&p, &solver).expect("power-only delta");
+            assert_eq!(reused.stats.setup_seconds, 0.0, "{solver:?}");
+            assert!(solver.solve(&p).expect("direct").stats.setup_seconds > 0.0);
+        }
+        let jacobi = CgSolver::new().with_tolerance(1e-9);
+        assert_eq!(
+            ctx.solve(&p, &jacobi).expect("jacobi").stats.setup_seconds,
+            0.0
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@
 
 use crate::engine::ExecPlan;
 use crate::multigrid::{
-    coarsen, coarsen_factors_with, prolong_add, restrict, DenseCholesky, Factors, MgHierarchy,
+    coarsen, coarsen_factors_with, prolong_add, restrict, BandedCholesky, Factors, MgHierarchy,
     MgWorkspace, OMEGA, SWEEPS,
 };
 use crate::solver::{
@@ -89,7 +89,7 @@ const STREAM_BYTES_PER_CELL: usize = 9 * 4;
 const F32_SEMI_THRESHOLD: f64 = 0.0;
 
 /// Coarsening of the shadow hierarchy stops at or below this many
-/// cells (dense f64 Cholesky takes over).
+/// cells (the banded f64 Cholesky takes over).
 const F32_COARSE_MAX: usize = 512;
 
 /// Damping of the z-line Jacobi smoother. The line solve absorbs the
@@ -359,15 +359,14 @@ struct LevelBufs32 {
 }
 
 /// Reusable scratch for the inner f32 MG-PCG: per-level V-cycle
-/// buffers, the f64 staging pair for the (f64) coarsest direct solve,
-/// and the finest-level CG vectors.
+/// buffers, the f64 scratch of the (f64) coarsest direct solve, and the
+/// finest-level CG vectors.
 #[derive(Debug, Clone)]
 pub(crate) struct WorkspaceF32 {
     r0: Vec<f32>,
     d0: Vec<f32>,
     tail: Vec<LevelBufs32>,
-    coarse_b: Vec<f64>,
-    coarse_x: Vec<f64>,
+    coarse: Vec<f64>,
     cg_r: Vec<f32>,
     cg_z: Vec<f32>,
     cg_p: Vec<f32>,
@@ -376,17 +375,17 @@ pub(crate) struct WorkspaceF32 {
 
 /// The f32 shadow of an [`MgHierarchy`]: every level's operator
 /// narrowed to [`OpF32`], sharing the f64 hierarchy's coarsening
-/// decisions, execution plans and (still f64) coarsest-level Cholesky
-/// factor — the direct solve is a negligible fraction of the cycle, and
-/// keeping it in f64 costs nothing while anchoring the cycle's coarse
-/// corrections.
+/// decisions, execution plans and (still f64) coarsest-level banded
+/// Cholesky factor — the direct solve is a negligible fraction of the
+/// cycle, and keeping it in f64 costs nothing while anchoring the
+/// cycle's coarse corrections.
 #[derive(Debug)]
 pub(crate) struct HierarchyF32 {
     ops: Vec<OpF32>,
     dims: Vec<Dim3>,
     factors: Vec<Factors>,
     plans: Vec<ExecPlan>,
-    chol: DenseCholesky,
+    chol: BandedCholesky,
     smoother: SmootherF32,
     line: Vec<LineZ>,
 }
@@ -434,7 +433,7 @@ impl HierarchyF32 {
             factors.push(f);
             chain.push(coarse);
         }
-        let Ok(chol) = DenseCholesky::factor(chain.last().unwrap_or(fine)) else {
+        let Ok(chol) = BandedCholesky::factor(chain.last().unwrap_or(fine)) else {
             return Self::mirror(fine, mg);
         };
         let levels = || std::iter::once(fine).chain(chain.iter());
@@ -496,8 +495,7 @@ impl HierarchyF32 {
                     d: vec![0.0; d.len()],
                 })
                 .collect(),
-            coarse_b: vec![0.0; nc],
-            coarse_x: vec![0.0; nc],
+            coarse: vec![0.0; nc],
             cg_r: vec![0.0; n0],
             cg_z: vec![0.0; n0],
             cg_p: vec![0.0; n0],
@@ -553,17 +551,10 @@ impl HierarchyF32 {
         r: &mut [f32],
         d: &mut [f32],
         tail: &mut [LevelBufs32],
-        cb64: &mut [f64],
-        cx64: &mut [f64],
+        coarse: &mut [f64],
     ) {
         if level + 1 == self.dims.len() {
-            for (wide, v) in cb64.iter_mut().zip(b.iter()) {
-                *wide = f64::from(*v);
-            }
-            self.chol.solve(cb64, cx64);
-            for (xv, v) in x.iter_mut().zip(cx64.iter()) {
-                *xv = *v as f32;
-            }
+            self.chol.solve(b, x, coarse, |v| v as f32);
             return;
         }
         let op = &self.ops[level];
@@ -592,7 +583,7 @@ impl HierarchyF32 {
             r: cr,
             d: cd,
         } = next;
-        self.cycle(level + 1, cb, cx, cr, cd, rest, cb64, cx64);
+        self.cycle(level + 1, cb, cx, cr, cd, rest, coarse);
         prolong_add(
             self.dims[level],
             self.dims[level + 1],
@@ -623,8 +614,7 @@ impl HierarchyF32 {
             r0,
             d0,
             tail,
-            coarse_b,
-            coarse_x,
+            coarse,
             cg_r,
             cg_z,
             cg_p,
@@ -645,7 +635,7 @@ impl HierarchyF32 {
         let mut cycles = 0_usize;
 
         cg_z.fill(0.0);
-        self.cycle(0, cg_r, cg_z, r0, d0, tail, coarse_b, coarse_x);
+        self.cycle(0, cg_r, cg_z, r0, d0, tail, coarse);
         cycles += 1;
         cg_p.copy_from_slice(cg_z);
         let mut rz = cg_r
@@ -682,7 +672,7 @@ impl HierarchyF32 {
                 break;
             }
             cg_z.fill(0.0);
-            self.cycle(0, cg_r, cg_z, r0, d0, tail, coarse_b, coarse_x);
+            self.cycle(0, cg_r, cg_z, r0, d0, tail, coarse);
             cycles += 1;
             let rz_new = cg_r
                 .iter()
@@ -840,6 +830,7 @@ impl Assembled {
             precision: Precision::Mixed,
             refinements,
             assembly_seconds: self.assembly_seconds,
+            setup_seconds: 0.0,
             solve_seconds: t0.elapsed().as_secs_f64(),
             threads: plan.threads(),
             trajectory,

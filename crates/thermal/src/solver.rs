@@ -180,7 +180,12 @@ pub struct SolverStats {
     /// Wall-clock seconds spent assembling the operator (0 when a
     /// [`crate::SolveContext`] reused its cached operator).
     pub assembly_seconds: f64,
-    /// Wall-clock seconds spent iterating (excludes assembly).
+    /// Wall-clock seconds spent on multigrid set-up: building the
+    /// hierarchy, factoring its coarsest level and building the f32
+    /// shadow of a mixed solve (0 for Jacobi-CG and SOR, and when a
+    /// [`crate::SolveContext`] reused its cached hierarchy).
+    pub setup_seconds: f64,
+    /// Wall-clock seconds spent iterating (excludes assembly and set-up).
     pub solve_seconds: f64,
     /// Worker threads the execution plan engaged (1 = serial path).
     pub threads: usize,
@@ -732,6 +737,7 @@ impl Assembled {
             precision: Precision::F64,
             refinements: 0,
             assembly_seconds: self.assembly_seconds,
+            setup_seconds: 0.0,
             solve_seconds: t0.elapsed().as_secs_f64(),
             threads: plan.threads(),
             trajectory,
@@ -1072,11 +1078,14 @@ impl CgSolver {
         let mut x = vec![asm.initial_guess; asm.dim.len()];
         let stats = match (self.precision, self.precon) {
             (Precision::Mixed, _) => {
+                // tsc-analyze: allow(no-wallclock-numeric): feeds SolverStats wall-time only, never the numerics
+                let t0 = Instant::now();
                 let mg = crate::multigrid::MgHierarchy::build(&asm, &self.mg_params())?;
                 let mut ws = mg.workspace();
                 let h32 = crate::kernels::HierarchyF32::build(&asm, &mg);
                 let mut ws32 = h32.workspace();
-                asm.cg_core_mixed(
+                let setup_seconds = t0.elapsed().as_secs_f64();
+                let stats = asm.cg_core_mixed(
                     &asm.rhs,
                     &mut x,
                     &self.params(),
@@ -1084,12 +1093,23 @@ impl CgSolver {
                     &mut ws,
                     &h32,
                     &mut ws32,
-                )?
+                )?;
+                SolverStats {
+                    setup_seconds,
+                    ..stats
+                }
             }
             (Precision::F64, Preconditioner::Multigrid) => {
+                // tsc-analyze: allow(no-wallclock-numeric): feeds SolverStats wall-time only, never the numerics
+                let t0 = Instant::now();
                 let mg = crate::multigrid::MgHierarchy::build(&asm, &self.mg_params())?;
                 let mut ws = mg.workspace();
-                asm.cg_core_mg(&asm.rhs, &mut x, &self.params(), &mg, &mut ws)?
+                let setup_seconds = t0.elapsed().as_secs_f64();
+                let stats = asm.cg_core_mg(&asm.rhs, &mut x, &self.params(), &mg, &mut ws)?;
+                SolverStats {
+                    setup_seconds,
+                    ..stats
+                }
             }
             _ => asm.cg_core(None, &asm.rhs, &mut x, &self.params())?,
         };
@@ -1285,6 +1305,7 @@ impl SorSolver {
             precision: Precision::F64,
             refinements: 0,
             assembly_seconds: asm.assembly_seconds,
+            setup_seconds: 0.0,
             solve_seconds: t0.elapsed().as_secs_f64() - asm.assembly_seconds,
             threads: plan.threads(),
             trajectory,

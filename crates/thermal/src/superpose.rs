@@ -186,6 +186,7 @@ pub fn blend_solutions(low: &Solution, high: &Solution, alpha: f64) -> Solution 
     stats.level_residuals = Vec::new();
     stats.trajectory = Vec::new();
     stats.assembly_seconds = 0.0;
+    stats.setup_seconds = 0.0;
     stats.solve_seconds = 0.0;
     stats.residual = low.stats.residual.max(high.stats.residual);
 
