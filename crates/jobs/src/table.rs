@@ -472,13 +472,6 @@ impl JobTable {
         self.counters.evicted += evicted as u64;
         evicted
     }
-
-    /// `true` while any non-terminal entry exists (the pump uses this
-    /// to decide whether to keep polling).
-    #[must_use]
-    pub fn has_live_jobs(&self) -> bool {
-        self.entries.iter().any(|e| !e.state.is_terminal())
-    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,9 @@
-//! Cross-solve reuse cache for repeated solves on one geometry.
+//! Cross-solve reuse cache for repeated solves on one geometry — and
+//! the one steady-state solve driver: [`CgSolver::solve`] is a cold
+//! context solve, and the electrothermal loop keeps one context across
+//! its fixed-point iterations, so a context is the only place that
+//! builds a multigrid hierarchy and picks a CG kernel for a steady
+//! solve.
 //!
 //! The placement and codesign flows re-solve the same mesh dozens of
 //! times in a row (pillar-density bisection, placement verification,
@@ -333,6 +338,19 @@ impl SolveContext {
     /// the warm-start field but keeps the cached operator (it is not
     /// implicated by an RHS-driven divergence).
     pub fn solve(&mut self, p: &Problem, solver: &CgSolver) -> Result<Solution, SolveError> {
+        self.solve_with_power(p, p.power_flat(), solver)
+    }
+
+    /// [`SolveContext::solve`] with `power` (watts per cell) staged in
+    /// place of `p`'s own power map: the electrothermal loop's rescaled
+    /// power over an unchanged operator, which takes the power-only
+    /// reuse path.
+    pub(crate) fn solve_with_power(
+        &mut self,
+        p: &Problem,
+        power: &[f64],
+        solver: &CgSolver,
+    ) -> Result<Solution, SolveError> {
         self.stats.solves += 1;
         let reuse = match (&self.key, &self.asm) {
             (Some(key), Some(_)) => key.matches(p),
@@ -369,7 +387,7 @@ impl SolveContext {
         // tsc-analyze: allow(no-unwrap): the caller populated the cache
         // in the branch directly above; None is unreachable here.
         let asm = asm.as_ref().expect("operator cached above");
-        let rhs = asm.rhs_with_power(p.power_flat());
+        let rhs = asm.rhs_with_power(power);
         let n = asm.dim.len();
         let mut x = match warm {
             Some((key, w)) if *warm_start && *key == warm_key && w.len() == n => {
@@ -418,7 +436,7 @@ impl SolveContext {
             let ws = workspace.as_mut().expect("workspace cached above");
             asm.cg_core_mg(&rhs, &mut x, &params, mg, ws)
         } else {
-            asm.cg_core(None, &rhs, &mut x, &params)
+            asm.cg_core(&rhs, &mut x, &params)
         };
 
         match result {
@@ -435,7 +453,7 @@ impl SolveContext {
                 if *warm_start {
                     *warm = Some((warm_key, x.clone()));
                 }
-                Ok(asm.solution(&x, solver_stats, p.total_power().watts()))
+                Ok(asm.solution(&x, solver_stats, power.iter().sum()))
             }
             Err(e) => {
                 // Never seed a later solve from a possibly-poisoned field.

@@ -9,10 +9,10 @@
 //! *thermal runaway* — the regime where each iteration heats the stack
 //! faster than the sink can respond.
 
+use crate::context::SolveContext;
 use crate::field::TemperatureField;
-use crate::multigrid::{MgHierarchy, MgParams};
 use crate::problem::Problem;
-use crate::solver::{Assembled, CgSolver, Preconditioner, SolveError};
+use crate::solver::{CgSolver, SolveError};
 use tsc_units::{Power, Ratio, TempDelta, Temperature};
 
 /// The leakage feedback model.
@@ -106,10 +106,12 @@ impl From<SolveError> for ElectrothermalError {
 /// temperature multiplier and re-solves.
 ///
 /// The conduction operator is assembled **once**: power feedback only
-/// touches the right-hand side, so every fixed-point iteration reuses
-/// the same [`Assembled`] system and warm-starts CG from the previous
-/// temperature field — after the first solve each iteration typically
-/// converges in a fraction of the cold-start iteration count.
+/// touches the right-hand side, so one [`SolveContext`] carries every
+/// fixed-point iteration on its power-only path — the same operator,
+/// the same multigrid hierarchy when the solver uses one, and a warm
+/// start from the previous temperature field. After the first solve
+/// each iteration typically converges in a fraction of the cold-start
+/// iteration count.
 ///
 /// # Errors
 ///
@@ -133,10 +135,12 @@ pub fn solve_electrothermal(
 
 /// [`solve_electrothermal`] with an explicit inner solver configuration.
 ///
-/// With [`Preconditioner::Multigrid`] the V-cycle hierarchy is built
-/// **once** (the operator never changes — only the right-hand side does)
-/// and reused by every fixed-point iteration, compounding with the
-/// warm start.
+/// Every inner solve runs through one [`SolveContext`], so the solver's
+/// preconditioner and precision are honoured exactly as in a steady
+/// solve: a multigrid or [`crate::Precision::Mixed`] solver builds its
+/// hierarchy **once** (the operator never changes — only the
+/// right-hand side does) and reuses it in every fixed-point iteration,
+/// compounding with the warm start.
 ///
 /// # Errors
 ///
@@ -150,36 +154,20 @@ pub fn solve_electrothermal_with(
 ) -> Result<ElectrothermalSolution, ElectrothermalError> {
     assert!(tol.kelvin() > 0.0, "tolerance must be positive");
     assert!(max_iterations > 0, "need at least one iteration");
-    let asm = Assembled::build(base).map_err(ElectrothermalError::from)?;
-    let params = solver.params();
-    let mut mg = match solver.preconditioner() {
-        Preconditioner::Multigrid => {
-            let hierarchy =
-                MgHierarchy::build(&asm, &MgParams::with_exec(params.threads, params.crossover))?;
-            let workspace = hierarchy.workspace();
-            Some((hierarchy, workspace))
-        }
-        _ => None,
-    };
-    let mut solve_once = |rhs: &[f64], x: &mut [f64]| match &mut mg {
-        Some((hierarchy, workspace)) => asm.cg_core_mg(rhs, x, &params, hierarchy, workspace),
-        None => asm.cg_core(None, rhs, x, &params),
-    };
-    let base_power = base.power_flat().to_vec();
-
-    let mut x = vec![asm.initial_guess(); base.dim().len()];
-    solve_once(asm.rhs(), &mut x)?;
-    let mut last_tj = Temperature::from_kelvin(x.iter().copied().fold(f64::NEG_INFINITY, f64::max));
+    let mut ctx = SolveContext::new();
+    let mut temperatures = ctx.solve(base, solver)?.temperatures;
+    let mut last_tj = temperatures.max_temperature();
     let mut last_step = f64::INFINITY;
 
     for iteration in 1..=max_iterations {
         // Rescale each cell's power by the local multiplier derived from
         // the previous iterate, then re-solve over the same operator.
         let mut total = 0.0;
-        let power: Vec<f64> = base_power
+        let power: Vec<f64> = base
+            .power_flat()
             .iter()
-            .zip(&x)
-            .map(|(&p0, &t)| {
+            .zip(temperatures.iter_kelvin())
+            .map(|(&p0, t)| {
                 // tsc-analyze: allow(float-eq): exact-zero test — cells
                 // with literally no power must stay at exactly zero
                 // rather than picking up a multiplier.
@@ -192,9 +180,8 @@ pub fn solve_electrothermal_with(
                 p
             })
             .collect();
-        let rhs = asm.rhs_with_power(&power);
-        let stats = match solve_once(&rhs, &mut x) {
-            Ok(stats) => stats,
+        temperatures = match ctx.solve_with_power(base, &power, solver) {
+            Ok(solution) => solution.temperatures,
             // The feedback scaled powers beyond the representable range
             // (the exponential multiplier overflows well before f64 does
             // on its own): numerically indistinguishable from runaway.
@@ -209,7 +196,7 @@ pub fn solve_electrothermal_with(
             }
             Err(e) => return Err(e.into()),
         };
-        let tj = Temperature::from_kelvin(x.iter().copied().fold(f64::NEG_INFINITY, f64::max));
+        let tj = temperatures.max_temperature();
         let step = (tj - last_tj).kelvin();
 
         if tj.celsius() > 1000.0 || (step > last_step.max(0.0) && step > 5.0) {
@@ -219,10 +206,9 @@ pub fn solve_electrothermal_with(
             });
         }
         if step.abs() <= tol.kelvin() {
-            let solution = asm.solution(&x, stats, total);
             return Ok(ElectrothermalSolution {
                 total_power: Power::from_watts(total),
-                temperatures: solution.temperatures,
+                temperatures,
                 iterations: iteration,
             });
         }
@@ -239,6 +225,7 @@ pub fn solve_electrothermal_with(
 mod tests {
     use super::*;
     use crate::heatsink::Heatsink;
+    use crate::solver::{Precision, Preconditioner};
     use tsc_units::{Length, ThermalConductivity};
 
     fn problem(watts: f64, k: f64) -> Problem {
@@ -315,21 +302,22 @@ mod tests {
         let model = LeakageModel::seven_nm();
         let tol = TempDelta::new(0.01);
         let jacobi = solve_electrothermal(&p, &model, tol, 50).expect("jacobi converges");
-        let mg = solve_electrothermal_with(
-            &p,
-            &model,
-            tol,
-            50,
-            &CgSolver::new()
-                .with_tolerance(1e-8)
-                .with_preconditioner(Preconditioner::Multigrid),
-        )
-        .expect("mg converges");
-        assert_eq!(mg.iterations, jacobi.iterations);
-        let dev = (mg.temperatures.max_temperature() - jacobi.temperatures.max_temperature())
+        let mg = CgSolver::new()
+            .with_tolerance(1e-8)
+            .with_preconditioner(Preconditioner::Multigrid);
+        for solver in [mg, mg.with_precision(Precision::Mixed)] {
+            let coupled = solve_electrothermal_with(&p, &model, tol, 50, &solver)
+                .unwrap_or_else(|e| panic!("{solver:?} must converge: {e}"));
+            assert_eq!(coupled.iterations, jacobi.iterations, "{solver:?}");
+            let dev = (coupled.temperatures.max_temperature()
+                - jacobi.temperatures.max_temperature())
             .kelvin()
             .abs();
-        assert!(dev < 1e-5, "MG fixed point must match Jacobi: |dT| = {dev}");
+            assert!(
+                dev < 1e-5,
+                "{solver:?} fixed point must match Jacobi: |dT| = {dev}"
+            );
+        }
     }
 
     #[test]

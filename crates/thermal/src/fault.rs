@@ -114,12 +114,6 @@ pub fn injections() -> usize {
     INJECTIONS.with(Cell::get)
 }
 
-/// Solver invocations observed since the last [`arm`].
-#[must_use]
-pub fn solves_started() -> usize {
-    SOLVES.with(Cell::get)
-}
-
 /// True when the armed plan targets the solve currently running.
 fn active() -> Option<FaultPlan> {
     let plan = PLAN.with(Cell::get)?;

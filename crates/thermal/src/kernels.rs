@@ -700,7 +700,7 @@ impl Assembled {
     /// [`HierarchyF32::solve_correction`]. Falls back to
     /// [`Assembled::cg_core_mg`] from the current iterate when an outer
     /// pass stalls, so the error contract is exactly the f64 solver's.
-    #[allow(clippy::too_many_arguments)] // internal kernel, wrapped by CgSolver
+    #[allow(clippy::too_many_arguments)] // internal kernel, wrapped by SolveContext
     pub(crate) fn cg_core_mixed(
         &self,
         rhs: &[f64],
@@ -945,7 +945,7 @@ mod tests {
             .collect();
         let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
         let mut y64 = vec![0.0; n];
-        asm.matvec_range(&x64, &mut y64, 0..n, None);
+        asm.matvec_range(&x64, &mut y64, 0..n);
         let mut y32 = vec![0.0f32; n];
         op.matvec_range(&x32, &mut y32, 0..n);
         let scale = asm.diag.iter().cloned().fold(0.0f64, f64::max);

@@ -17,8 +17,11 @@
 //!   Jacobi-preconditioned, preconditioned by one geometric-multigrid
 //!   V-cycle ([`Preconditioner::Multigrid`]), or f32 multigrid-CG under
 //!   f64 iterative refinement ([`Precision::Mixed`]). [`SolveContext`]
-//!   caches the operator, the hierarchy and a warm-start field across
-//!   repeated solves on one geometry.
+//!   is the one driver behind every steady CG solve: it builds the
+//!   hierarchy, picks the kernel, and caches the operator, the hierarchy
+//!   and a warm-start field across repeated solves on one geometry
+//!   (`CgSolver::solve` is a cold context solve; the electrothermal loop
+//!   keeps one context across its fixed-point iterations).
 //!
 //! Both solvers share a scoped-thread parallel engine: matrix-free
 //! stencil products and reductions chunk across z-slab bands, with

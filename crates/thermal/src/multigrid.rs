@@ -537,7 +537,7 @@ impl MgHierarchy {
             op.rb_sweep(plan, x, b, OMEGA, [0, 1]);
         }
         plan.map_mut(r, |range, chunk| {
-            op.matvec_range(x, chunk, range.clone(), None);
+            op.matvec_range(x, chunk, range.clone());
             for (o, bv) in chunk.iter_mut().zip(&b[range]) {
                 *o = bv - *o;
             }
@@ -634,7 +634,7 @@ impl Assembled {
         let mut cycles = 0_usize;
 
         plan.map_mut(&mut ap, |range, chunk| {
-            self.matvec_range(x, chunk, range, None);
+            self.matvec_range(x, chunk, range);
         });
         matvecs += 1;
         for ((rv, bv), av) in r.iter_mut().zip(rhs).zip(&ap) {
@@ -656,7 +656,7 @@ impl Assembled {
             // (same per-slab accumulation order as the historical fused
             // closure — bitwise identical).
             let parts = plan.map_mut(&mut ap, |range, chunk| {
-                self.matvec_range(&pv, chunk, range.clone(), None);
+                self.matvec_range(&pv, chunk, range.clone());
                 slab_dot_parts(&pv[range], chunk, slab)
             });
             matvecs += 1;
@@ -791,13 +791,13 @@ mod tests {
             let v: Vec<f64> = (0..nc).map(|_| rng.gen_range_f64(-1.0..1.0)).collect();
             // Direct application of the coarse stencil.
             let mut direct = vec![0.0; nc];
-            coarse.matvec_range(&v, &mut direct, 0..nc, None);
+            coarse.matvec_range(&v, &mut direct, 0..nc);
             // R·A·P applied on the fine grid.
             let nf = asm.dim.len();
             let mut pv = vec![0.0; nf];
             prolong_add(asm.dim, coarse.dim, f, &v, &mut pv);
             let mut apv = vec![0.0; nf];
-            asm.matvec_range(&pv, &mut apv, 0..nf, None);
+            asm.matvec_range(&pv, &mut apv, 0..nf);
             let mut rap = vec![0.0; nc];
             restrict(asm.dim, coarse.dim, f, &apv, &mut rap);
             for (a, b) in direct.iter().zip(&rap) {

@@ -8,10 +8,12 @@
 //! * off-diagonal: minus the shared face conductance;
 //! * right-hand side: injected power plus `G_boundary · T_ambient`.
 //!
-//! [`CgSolver`] (Jacobi-preconditioned conjugate gradients) is the
-//! workhorse; [`SorSolver`] (red-black successive over-relaxation)
-//! provides an algorithmically independent cross-check used by the
-//! validation tests.
+//! [`CgSolver`] (preconditioned conjugate gradients) is the workhorse:
+//! it configures a solve — Jacobi or multigrid preconditioning, f64 or
+//! mixed precision — and [`crate::SolveContext`] runs it, so one-shot
+//! and repeated solves share one dispatch. [`SorSolver`] (red-black
+//! successive over-relaxation) provides an algorithmically independent
+//! cross-check used by the validation tests.
 //!
 //! # Parallel execution
 //!
@@ -260,20 +262,11 @@ impl Assembled {
         self.dim
     }
 
-    /// The assembled right-hand side (power + boundary terms).
-    pub(crate) fn rhs(&self) -> &[f64] {
-        &self.rhs
-    }
-
-    /// Ambient-referenced starting temperature for iterations.
-    pub(crate) fn initial_guess(&self) -> f64 {
-        self.initial_guess
-    }
-
     /// Rebuilds the right-hand side for a different per-cell power
-    /// staging (watts per cell) over the same operator — the
-    /// electrothermal loop re-solves with rescaled power without paying
-    /// for reassembly.
+    /// staging (watts per cell) over the same operator — a
+    /// [`crate::SolveContext`] re-solves a power-only delta (and the
+    /// transient stepper re-stages gated power) without paying for
+    /// reassembly.
     pub(crate) fn rhs_with_power(&self, power_watts: &[f64]) -> Vec<f64> {
         debug_assert_eq!(power_watts.len(), self.rhs_boundary.len());
         self.rhs_boundary
@@ -355,19 +348,6 @@ impl Assembled {
             initial_guess: 0.0,
             assembly_seconds: 0.0,
         }
-    }
-
-    /// A clone with `shift` folded into the diagonal — lets the
-    /// multigrid hierarchy precondition shifted systems
-    /// `(A + diag(shift))·x = b` (the transient stepper's implicit
-    /// matrix) without threading the shift through every level.
-    pub(crate) fn shifted(&self, shift: &[f64]) -> Self {
-        debug_assert_eq!(shift.len(), self.diag.len());
-        let mut out = self.clone();
-        for (d, s) in out.diag.iter_mut().zip(shift) {
-            *d += s;
-        }
-        out
     }
 
     pub(crate) fn build(p: &Problem) -> Result<Self, SolveError> {
@@ -492,23 +472,17 @@ impl Assembled {
         })
     }
 
-    /// `y[range] = (A + diag(shift))·x` over one slab-aligned band, as
+    /// `y[range] = A·x` over one slab-aligned band, as
     /// cache-blocked branch-free row passes: for each j-stripe (sized so
     /// a stripe's streams fit in L2, see [`MATVEC_L2_TARGET_BYTES`]) the
     /// sweep runs through all z before the next stripe, and every pass
     /// is a straight-line slice zip the autovectorizer packs. Each
     /// output element accumulates its terms in the exact order of the
     /// historical scalar gather loop — `diag`, `−gx⁺`, `−gx⁻`, `−gy⁺`,
-    /// `−gy⁻`, `−gz⁺`, `−gz⁻`, `+shift` — so the result is bitwise
+    /// `−gy⁻`, `−gz⁺`, `−gz⁻` — so the result is bitwise
     /// identical to it (and independent of banding and thread count:
     /// bands never write outside themselves).
-    pub(crate) fn matvec_range(
-        &self,
-        x: &[f64],
-        out: &mut [f64],
-        range: std::ops::Range<usize>,
-        shift: Option<&[f64]>,
-    ) {
+    pub(crate) fn matvec_range(&self, x: &[f64], out: &mut [f64], range: std::ops::Range<usize>) {
         let (nx, ny, nz) = (self.dim.nx, self.dim.ny, self.dim.nz);
         let slab = nx * ny;
         debug_assert_eq!(range.start % slab, 0, "bands must be slab-aligned");
@@ -566,12 +540,6 @@ impl Assembled {
                             *o -= g * xv;
                         }
                     }
-                    if let Some(s) = shift {
-                        let sr = &s[row..row + nx];
-                        for ((o, sv), xv) in or.iter_mut().zip(sr).zip(xr) {
-                            *o += sv * xv;
-                        }
-                    }
                 }
             }
         }
@@ -589,16 +557,16 @@ impl Assembled {
     ) -> f64 {
         let slab = self.dim.nx * self.dim.ny;
         let parts = plan.map_mut(ax, |range, chunk| {
-            self.matvec_range(x, chunk, range.clone(), None);
+            self.matvec_range(x, chunk, range.clone());
             slab_norm2_diff_parts(&b[range], chunk, slab)
         });
         ordered_sum(parts.into_iter().flatten()).sqrt() / b_norm
     }
 
-    /// Jacobi-preconditioned CG on `(A + diag(shift))·x = rhs`,
-    /// warm-started from `x` — the shared kernel behind the steady
-    /// solver ([`CgSolver::solve`]), the transient stepper and the
-    /// electrothermal loop.
+    /// Jacobi-preconditioned CG on `A·x = rhs`, warm-started from `x` —
+    /// the kernel behind [`crate::SolveContext`]'s Jacobi solves and the
+    /// transient stepper (whose operator carries `C/Δt` in its
+    /// diagonal).
     ///
     /// Three fused regions per iteration run under the execution plan:
     /// `ap = A·pv` with `⟨pv, ap⟩`; the `x`/`r`/`z` update with
@@ -607,7 +575,6 @@ impl Assembled {
     /// results are bitwise identical across thread counts.
     pub(crate) fn cg_core(
         &self,
-        shift: Option<&[f64]>,
         rhs: &[f64],
         x: &mut [f64],
         params: &CgParams,
@@ -628,15 +595,6 @@ impl Assembled {
         let max_iter = params.max_iter;
         let plan = ExecPlan::new(self.dim, params.threads, params.crossover);
         let b_norm = norm(rhs).max(f64::MIN_POSITIVE);
-        let shifted_diag: Vec<f64>;
-        let diag: &[f64] = match shift {
-            Some(s) => {
-                debug_assert_eq!(s.len(), n);
-                shifted_diag = self.diag.iter().zip(s).map(|(d, sv)| d + sv).collect();
-                &shifted_diag
-            }
-            None => &self.diag,
-        };
 
         let mut r = vec![0.0; n];
         let mut z = vec![0.0; n];
@@ -645,14 +603,14 @@ impl Assembled {
         let mut matvecs = 0_usize;
 
         plan.map_mut(&mut ap, |range, chunk| {
-            self.matvec_range(x, chunk, range, shift);
+            self.matvec_range(x, chunk, range);
         });
         matvecs += 1;
         for (((rv, zv), pvv), ((bv, av), dv)) in r
             .iter_mut()
             .zip(&mut z)
             .zip(&mut pv)
-            .zip(rhs.iter().zip(&ap).zip(diag))
+            .zip(rhs.iter().zip(&ap).zip(&self.diag))
         {
             *rv = bv - av;
             *zv = *rv / dv;
@@ -664,11 +622,11 @@ impl Assembled {
         let mut trajectory = vec![(0, residual)];
 
         while residual > params.tol && residual.is_finite() && iterations < max_iter {
-            // Region 1: ap = (A + shift)·pv, then ⟨pv, ap⟩ as a
+            // Region 1: ap = A·pv, then ⟨pv, ap⟩ as a
             // streaming slab dot (same per-slab accumulation order as
             // the historical fused closure — bitwise identical).
             let parts = plan.map_mut(&mut ap, |range, chunk| {
-                self.matvec_range(&pv, chunk, range.clone(), shift);
+                self.matvec_range(&pv, chunk, range.clone());
                 slab_dot_parts(&pv[range], chunk, slab)
             });
             matvecs += 1;
@@ -684,7 +642,7 @@ impl Assembled {
                 for (rv, av) in rs.iter_mut().zip(&ap[range.clone()]) {
                     *rv -= alpha * av;
                 }
-                for ((zv, rv), dv) in zs.iter_mut().zip(rs.iter()).zip(&diag[range]) {
+                for ((zv, rv), dv) in zs.iter_mut().zip(rs.iter()).zip(&self.diag[range]) {
                     *zv = rv / dv;
                 }
                 (slab_dot_parts(rs, zs, slab), slab_dot_parts(rs, rs, slab))
@@ -836,8 +794,7 @@ impl Assembled {
     }
 
     /// Packages a converged iterate without consuming the operator, so
-    /// repeated solves (transient stepping, electrothermal fixed point)
-    /// reuse one assembly.
+    /// a [`crate::SolveContext`] reuses one assembly across solves.
     pub(crate) fn solution(&self, t: &[f64], stats: SolverStats, injected: f64) -> Solution {
         let energy = self.energy_balance(t, injected);
         let mut grid = Grid3::filled(self.dim, 0.0);
@@ -909,7 +866,11 @@ pub(crate) fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// Jacobi-preconditioned conjugate-gradient solver.
+/// Preconditioned conjugate-gradient solver configuration: tolerance,
+/// budget, threads, preconditioner (Jacobi by default, or one multigrid
+/// V-cycle) and precision. [`CgSolver::solve`] is a one-shot cold
+/// [`crate::SolveContext`] solve; repeated solves on one geometry go
+/// through a kept context instead.
 ///
 /// ```
 /// use tsc_thermal::CgSolver;
@@ -1065,7 +1026,9 @@ impl CgSolver {
         crate::multigrid::MgParams::with_exec(self.threads, self.crossover)
     }
 
-    /// Solves the problem.
+    /// Solves the problem cold: a fresh [`crate::SolveContext`] without
+    /// warm starting, so the result is bitwise identical to the first
+    /// solve of any cold context.
     ///
     /// # Errors
     ///
@@ -1074,47 +1037,9 @@ impl CgSolver {
     /// tolerance; [`SolveError::Diverged`] when the iteration turns
     /// non-finite (never `Ok` with a NaN temperature).
     pub fn solve(&self, p: &Problem) -> Result<Solution, SolveError> {
-        let asm = Assembled::build(p)?;
-        let mut x = vec![asm.initial_guess; asm.dim.len()];
-        let stats = match (self.precision, self.precon) {
-            (Precision::Mixed, _) => {
-                // tsc-analyze: allow(no-wallclock-numeric): feeds SolverStats wall-time only, never the numerics
-                let t0 = Instant::now();
-                let mg = crate::multigrid::MgHierarchy::build(&asm, &self.mg_params())?;
-                let mut ws = mg.workspace();
-                let h32 = crate::kernels::HierarchyF32::build(&asm, &mg);
-                let mut ws32 = h32.workspace();
-                let setup_seconds = t0.elapsed().as_secs_f64();
-                let stats = asm.cg_core_mixed(
-                    &asm.rhs,
-                    &mut x,
-                    &self.params(),
-                    &mg,
-                    &mut ws,
-                    &h32,
-                    &mut ws32,
-                )?;
-                SolverStats {
-                    setup_seconds,
-                    ..stats
-                }
-            }
-            (Precision::F64, Preconditioner::Multigrid) => {
-                // tsc-analyze: allow(no-wallclock-numeric): feeds SolverStats wall-time only, never the numerics
-                let t0 = Instant::now();
-                let mg = crate::multigrid::MgHierarchy::build(&asm, &self.mg_params())?;
-                let mut ws = mg.workspace();
-                let setup_seconds = t0.elapsed().as_secs_f64();
-                let stats = asm.cg_core_mg(&asm.rhs, &mut x, &self.params(), &mg, &mut ws)?;
-                SolverStats {
-                    setup_seconds,
-                    ..stats
-                }
-            }
-            _ => asm.cg_core(None, &asm.rhs, &mut x, &self.params())?,
-        };
-        let injected = p.total_power().watts();
-        Ok(asm.solution(&x, stats, injected))
+        crate::SolveContext::new()
+            .with_warm_start(false)
+            .solve(p, self)
     }
 }
 
@@ -1125,7 +1050,7 @@ impl Default for CgSolver {
 }
 
 /// Red-black successive over-relaxation (Gauss-Seidel with relaxation
-/// factor ω, odd-even ordering).
+/// factor ω = 1.9, odd-even ordering).
 ///
 /// Slower than CG on large meshes but algorithmically independent — used
 /// to cross-check CG solutions as the paper cross-checks PACT against
@@ -1140,7 +1065,6 @@ impl Default for CgSolver {
 /// exhausted) against a stale checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SorSolver {
-    omega: f64,
     tol: f64,
     max_sweeps: usize,
     check_interval: usize,
@@ -1149,32 +1073,19 @@ pub struct SorSolver {
 }
 
 impl SorSolver {
-    /// Default: ω = 1.9, tolerance 1e-9, residual check every 10 sweeps.
+    /// Relaxation factor of every sweep.
+    const OMEGA: f64 = 1.9;
+
+    /// Default: tolerance 1e-9, residual check every 10 sweeps.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            omega: 1.9,
             tol: 1e-9,
             max_sweeps: 200_000,
             check_interval: 10,
             threads: default_threads(),
             crossover: DEFAULT_PARALLEL_CROSSOVER,
         }
-    }
-
-    /// Builder: relaxation factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < omega < 2` (SOR stability bound).
-    #[must_use]
-    pub fn with_omega(mut self, omega: f64) -> Self {
-        assert!(
-            omega > 0.0 && omega < 2.0,
-            "SOR requires 0 < omega < 2, got {omega}"
-        );
-        self.omega = omega;
-        self
     }
 
     /// Builder: relative residual tolerance.
@@ -1263,7 +1174,7 @@ impl SorSolver {
         let mut trajectory = Vec::new();
 
         let residual = loop {
-            asm.sor_sweep(&plan, &mut x, self.omega);
+            asm.sor_sweep(&plan, &mut x, Self::OMEGA);
             sweeps += 1;
             let last = sweeps == max_sweeps;
             if sweeps.is_multiple_of(self.check_interval) || last {
@@ -1545,7 +1456,7 @@ mod tests {
         asm.diag.iter_mut().for_each(|d| *d = 0.0);
         let mut x = vec![asm.initial_guess; asm.dim.len()];
         let err = asm
-            .cg_core(None, &asm.rhs.clone(), &mut x, &CgSolver::new().params())
+            .cg_core(&asm.rhs.clone(), &mut x, &CgSolver::new().params())
             .unwrap_err();
         match err {
             SolveError::Diverged { iterations, .. } => {

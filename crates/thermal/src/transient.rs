@@ -7,9 +7,12 @@
 //! and fine-grained power gating (Fig. 12) is inherently temporal, so
 //! this module completes the substitution.
 //!
-//! Each step solves `(C/Δt + A)·T' = C/Δt·T + b` with the same
-//! Jacobi-preconditioned CG kernel; implicit Euler is unconditionally
-//! stable, so Δt is chosen for accuracy, not stability.
+//! Each step solves `(C/Δt + A)·T' = C/Δt·T + b`. The capacity term
+//! is folded into the assembled operator's diagonal once per staging,
+//! so the steady solver's CG kernels run on it unchanged — Jacobi-CG by
+//! default, MG-PCG with [`TransientRun::with_multigrid`]. Implicit Euler
+//! is unconditionally stable, so Δt is chosen for accuracy, not
+//! stability.
 
 use crate::field::TemperatureField;
 use crate::multigrid::{MgHierarchy, MgParams, MgWorkspace};
@@ -59,6 +62,9 @@ pub mod capacity {
 /// ```
 #[derive(Debug)]
 pub struct TransientRun {
+    /// The implicit matrix `A + diag(C/Δt)`: the conduction operator
+    /// with `cap_over_dt` folded into its diagonal (see
+    /// [`TransientRun::stage`]).
     asm: Assembled,
     /// Per-cell heat capacity over Δt: `c_v · V / Δt` (W/K).
     cap_over_dt: Vec<f64>,
@@ -73,28 +79,20 @@ pub struct TransientRun {
     mg: Option<TransientMg>,
 }
 
-/// Multigrid state for the implicit matrix `A + diag(C/Δt)`: the shift
-/// is constant across steps, so the shifted operator and its hierarchy
-/// are built once per (re-)staging and reused by every step.
+/// Multigrid state for the implicit matrix: the operator is constant
+/// across steps, so its hierarchy is built once per (re-)staging and
+/// reused by every step.
 #[derive(Debug)]
 struct TransientMg {
-    shifted: Assembled,
     hierarchy: MgHierarchy,
     workspace: MgWorkspace,
 }
 
 impl TransientMg {
-    fn build(
-        asm: &Assembled,
-        cap_over_dt: &[f64],
-        threads: usize,
-        crossover: usize,
-    ) -> Result<Self, SolveError> {
-        let shifted = asm.shifted(cap_over_dt);
-        let hierarchy = MgHierarchy::build(&shifted, &MgParams::with_exec(threads, crossover))?;
+    fn build(asm: &Assembled, threads: usize, crossover: usize) -> Result<Self, SolveError> {
+        let hierarchy = MgHierarchy::build(asm, &MgParams::with_exec(threads, crossover))?;
         let workspace = hierarchy.workspace();
         Ok(Self {
-            shifted,
             hierarchy,
             workspace,
         })
@@ -131,7 +129,6 @@ impl TransientRun {
             capacity_per_volume.iter().all(|&c| c > 0.0),
             "heat capacities must be positive"
         );
-        let asm = Assembled::build(problem)?;
         let dim = problem.dim();
         let cell_base = (problem.dx() * problem.dy()).square_meters();
         let mut cap_over_dt = vec![0.0; dim.len()];
@@ -145,7 +142,7 @@ impl TransientRun {
             }
         }
         Ok(Self {
-            asm,
+            asm: Self::stage(problem, &cap_over_dt)?,
             cap_over_dt,
             temperatures: vec![initial.kelvin(); dim.len()],
             dt,
@@ -159,8 +156,18 @@ impl TransientRun {
         })
     }
 
+    /// Assembles `problem` with the capacity term folded into the
+    /// diagonal: the implicit matrix `A + diag(C/Δt)`.
+    fn stage(problem: &Problem, cap_over_dt: &[f64]) -> Result<Assembled, SolveError> {
+        let mut asm = Assembled::build(problem)?;
+        for (d, c) in asm.diag.iter_mut().zip(cap_over_dt) {
+            *d += c;
+        }
+        Ok(asm)
+    }
+
     /// Builder: preconditions every step's inner CG solve with a
-    /// geometric-multigrid V-cycle over the shifted implicit matrix
+    /// geometric-multigrid V-cycle over the implicit matrix
     /// `A + diag(C/Δt)`. The hierarchy is built once here and reused by
     /// every [`TransientRun::step`]; [`TransientRun::restage_power`]
     /// rebuilds it (the operator may change).
@@ -169,12 +176,7 @@ impl TransientRun {
     ///
     /// Propagates a coarse-grid factorization failure (non-SPD operator).
     pub fn with_multigrid(mut self) -> Result<Self, SolveError> {
-        self.mg = Some(TransientMg::build(
-            &self.asm,
-            &self.cap_over_dt,
-            self.threads,
-            self.crossover,
-        )?);
+        self.mg = Some(TransientMg::build(&self.asm, self.threads, self.crossover)?);
         Ok(self)
     }
 
@@ -294,14 +296,9 @@ impl TransientRun {
             self.asm.dim(),
             "restaged problem must keep the same mesh"
         );
-        self.asm = Assembled::build(problem)?;
+        self.asm = Self::stage(problem, &self.cap_over_dt)?;
         if self.mg.is_some() {
-            self.mg = Some(TransientMg::build(
-                &self.asm,
-                &self.cap_over_dt,
-                self.threads,
-                self.crossover,
-            )?);
+            self.mg = Some(TransientMg::build(&self.asm, self.threads, self.crossover)?);
         }
         Ok(())
     }
@@ -313,7 +310,7 @@ impl TransientRun {
     /// [`SolveError::NotConverged`] if the inner CG solve stalls.
     pub fn step(&mut self) -> Result<SolverStats, SolveError> {
         // rhs = b + (C/dt)·T ; matrix = A + diag(C/dt).
-        let mut rhs = self.asm.rhs().to_vec();
+        let mut rhs = self.asm.rhs.clone();
         for ((r, c), t) in rhs
             .iter_mut()
             .zip(&self.cap_over_dt)
@@ -329,19 +326,14 @@ impl TransientRun {
             traj_stride: usize::MAX,
         };
         let stats = match &mut self.mg {
-            Some(mg) => mg.shifted.cg_core_mg(
+            Some(mg) => self.asm.cg_core_mg(
                 &rhs,
                 &mut self.temperatures,
                 &params,
                 &mg.hierarchy,
                 &mut mg.workspace,
             )?,
-            None => self.asm.cg_core(
-                Some(&self.cap_over_dt),
-                &rhs,
-                &mut self.temperatures,
-                &params,
-            )?,
+            None => self.asm.cg_core(&rhs, &mut self.temperatures, &params)?,
         };
         self.time += self.dt;
         self.steps += 1;

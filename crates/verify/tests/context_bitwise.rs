@@ -1,14 +1,17 @@
 //! Property tests for the [`SolveContext`] reuse cache: with warm
 //! starting disabled, a context-mediated solve must be *bitwise*
-//! identical to a direct [`CgSolver::solve`] — across mesh dimensions,
-//! power perturbations, and repeated cache hits — because the cache may
-//! only skip redundant assembly work, never change arithmetic. The warm
-//! path is also checked (to physical tolerance, plus its stats
-//! contract), since a warm start legitimately changes the iterate
-//! sequence.
+//! identical to a direct [`CgSolver::solve`] — across solver
+//! configurations (Jacobi-CG, f64 MG-PCG, mixed precision and the
+//! hot-loop solver), mesh dimensions (including one deep enough for a
+//! multi-level V-cycle), power perturbations, and repeated cache hits —
+//! because the cache may only skip redundant assembly work, never change
+//! arithmetic. The warm path is also checked (to physical tolerance,
+//! plus its stats contract), since a warm start legitimately changes
+//! the iterate sequence.
 
+use tsc_core::stack::hot_loop_solver;
 use tsc_rng::Rng64;
-use tsc_thermal::{CgSolver, Heatsink, Problem, SolveContext};
+use tsc_thermal::{CgSolver, Heatsink, Precision, Preconditioner, Problem, SolveContext};
 use tsc_units::{Length, Power, ThermalConductivity};
 use tsc_verify::assert_close;
 
@@ -62,20 +65,43 @@ fn assert_bitwise_equal(a: &tsc_thermal::Solution, b: &tsc_thermal::Solution, wh
 
 #[test]
 fn cold_context_solves_match_direct_solves_bitwise() {
-    let solver = CgSolver::new();
-    let mut rng = Rng64::seed_from_u64(0x5eed);
-    for (nx, ny, nz) in [(6, 6, 4), (9, 5, 3), (4, 12, 6)] {
-        let mut ctx = SolveContext::new().with_warm_start(false);
-        for round in 0..3 {
-            let powers = random_powers(&mut rng, nx, ny, nz, 5);
-            let p = problem(nx, ny, nz, &powers);
-            let via_ctx = ctx.solve(&p, &solver).expect("context solve");
-            let direct = solver.solve(&p).expect("direct solve");
-            assert_bitwise_equal(&via_ctx, &direct, &format!("{nx}x{ny}x{nz} round {round}"));
+    let solvers = [
+        ("jacobi", CgSolver::new()),
+        (
+            "multigrid",
+            CgSolver::new().with_preconditioner(Preconditioner::Multigrid),
+        ),
+        ("mixed", CgSolver::new().with_precision(Precision::Mixed)),
+        ("hot_loop", hot_loop_solver()),
+    ];
+    // The 16×12×9 mesh (1728 cells) is above the 512-cell coarse-solve
+    // limit, so its hierarchy has more than one level and every
+    // multigrid solve runs real V-cycles.
+    let meshes = [(6, 6, 4), (9, 5, 3), (4, 12, 6), (16, 12, 9)];
+    for (name, solver) in solvers {
+        let mut rng = Rng64::seed_from_u64(0x5eed);
+        for (nx, ny, nz) in meshes {
+            let mut ctx = SolveContext::new().with_warm_start(false);
+            for round in 0..3 {
+                let powers = random_powers(&mut rng, nx, ny, nz, 5);
+                let p = problem(nx, ny, nz, &powers);
+                let via_ctx = ctx.solve(&p, &solver).expect("context solve");
+                let direct = solver.solve(&p).expect("direct solve");
+                assert_eq!(via_ctx.stats.precision, solver.precision(), "{name}");
+                assert_eq!(
+                    via_ctx.stats.iterations, direct.stats.iterations,
+                    "{name} {nx}x{ny}x{nz} round {round}"
+                );
+                assert_bitwise_equal(
+                    &via_ctx,
+                    &direct,
+                    &format!("{name} {nx}x{ny}x{nz} round {round}"),
+                );
+            }
+            let stats = ctx.stats();
+            assert_eq!(stats.solves, 3);
+            assert_eq!(stats.warm_starts, 0, "warm starting was disabled");
         }
-        let stats = ctx.stats();
-        assert_eq!(stats.solves, 3);
-        assert_eq!(stats.warm_starts, 0, "warm starting was disabled");
     }
 }
 
